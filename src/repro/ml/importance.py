@@ -57,51 +57,28 @@ def _permuted_oob_scores_batched(forest: _BaseForestRegressor,
                                  perms: np.ndarray) -> np.ndarray:
     """OOB R² of the forest with one group permuted, for every permutation.
 
-    Equivalent to ``forest.oob_score(Xp)`` per permutation, but makes a
-    single pass over the trees: for each tree the OOB rows of all repeats
-    are stacked into one prediction batch, so the per-call tree traversal
-    overhead is paid once per tree instead of once per (tree, repeat).
-    Only the group's columns are materialized per repeat — the full
-    training matrix is never copied.  Per-sample predictions, their
-    accumulation order over trees, and the final R² are bit-identical to
-    the per-repeat loop.
+    Equivalent to ``forest.oob_score(Xp)`` per permutation, bit for bit,
+    but scored on the forest's packed node table: only the (tree, OOB row)
+    entries whose root-to-leaf path splits on a column of the group are
+    walked again, and every other entry reuses its cached baseline leaf
+    value (see :meth:`_BaseForestRegressor._permuted_oob_prediction`).
+    The training matrix is never copied.
     """
-    X = forest._X_train
-    y = forest._y_train
-    n_rep, n = perms.shape
-    col_idx = np.asarray(cols, dtype=np.intp)
-    Xg = X[:, col_idx]                       # (n, g) group values
-    totals = np.zeros((n_rep, n), dtype=float)
-    counts = np.zeros(n, dtype=np.int64)
-    for t, tree in enumerate(forest.trees_):
-        mask = forest.oob_mask_[t]
-        if not np.any(mask):
-            continue
-        rows = np.nonzero(mask)[0]
-        m = rows.size
-        batch = np.broadcast_to(X[rows], (n_rep, m, X.shape[1])).copy()
-        # Xp[rows, cols] == X[perm, cols][rows] for each repeat's perm.
-        batch[:, :, col_idx] = Xg[perms[:, rows]]
-        preds = tree.predict(batch.reshape(n_rep * m, X.shape[1]))
-        totals[:, rows] += preds.reshape(n_rep, m)
-        counts[rows] += 1
-    scores = np.empty(n_rep, dtype=float)
-    with np.errstate(invalid="ignore"):
-        preds = totals / counts
-    ok = counts > 0
+    ok = forest._oob_count > 0
     if not np.any(ok):
         raise RuntimeError("no sample has an OOB prediction; "
                            "increase n_estimators")
-    for r in range(n_rep):
-        scores[r] = r2_score(y[ok], preds[r, ok])
-    return scores
+    preds = forest._permuted_oob_prediction(cols, perms)
+    y = forest._y_train[ok]
+    return np.array([r2_score(y, pred[ok]) for pred in preds])
 
 
 def _permuted_oob_scores_loop(forest: _BaseForestRegressor,
                               cols: tuple[int, ...],
                               perms: np.ndarray) -> np.ndarray:
-    """Reference per-repeat implementation (one full OOB pass per
-    permutation); kept for parity testing and as a fallback."""
+    """Reference per-repeat implementation (one full OOB pass over a
+    permuted copy of the training matrix per permutation); kept for parity
+    testing and selectable with ``batched=False``."""
     X = forest._X_train
     scores = np.empty(perms.shape[0], dtype=float)
     for r, perm in enumerate(perms):
@@ -137,14 +114,15 @@ def grouped_permutation_importance(
         Workers scoring groups concurrently (thread backend — the work is
         numpy-dominated).  ``None`` defers to ``ROBOTUNE_JOBS``.
     batched:
-        Use the single-pass batched OOB scorer (default).  ``False``
-        selects the reference per-repeat loop; both produce bit-identical
-        importances.
+        Use the path-reuse scorer on the packed forest (default).
+        ``False`` selects the reference per-repeat loop; both produce
+        bit-identical importances.
     tracer:
         Optional :class:`repro.obs.Tracer`; scoring time accumulates in
-        the ``importance`` timer and the group fan-out is recorded via
+        the ``importance`` timer, the group fan-out is recorded via
         :func:`repro.utils.parallel.parallel_map`'s ``parallel.map``
-        event.
+        event, and one ``importance.sweep`` event reports how many
+        (group, OOB entry) pairs were walked again.
 
     Returns
     -------
@@ -187,5 +165,11 @@ def grouped_permutation_importance(
     with tracer.timer("importance"):
         results = parallel_map(score_group, tasks, n_jobs=n_jobs,
                                backend="thread", tracer=tracer)
+    entries = int(forest._oob_row.size)
+    retraversed = (sum(int(forest._oob_touching(cols).size)
+                       for _, cols, _ in tasks) if batched
+                   else entries * len(tasks))
+    tracer.emit("importance.sweep", {"groups": len(tasks), "entries": entries,
+                                     "retraversed": retraversed})
     results.sort(key=lambda g: g.importance, reverse=True)
     return results

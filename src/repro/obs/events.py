@@ -53,6 +53,9 @@ EVENT_TYPES: dict[str, str] = {
     "transfer.map": "a workload-mapper probe matched (or missed) a prior "
                     "selection signature",
     "forest.fit": "a tree ensemble finished fitting",
+    "importance.sweep": "a permutation-importance sweep finished: groups "
+                        "scored, OOB (tree, row) entries, and the "
+                        "(group, entry) pairs walked again",
     "guard.threshold": "the kill threshold changed value",
     "guard.kill": "an evaluation was truncated by the kill threshold",
     "memo.hit": "a memoized-sampling store served prior knowledge",

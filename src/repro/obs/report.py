@@ -63,6 +63,10 @@ class TraceSummary:
     retries: int = 0
     gp_fits: int = 0
     fallbacks: int = 0
+    importance_sweeps: int = 0
+    #: (group, OOB entry) pairs the sweeps scored, and those walked again
+    importance_pairs: int = 0
+    importance_retraversed: int = 0
     counters: dict[str, int] = field(default_factory=dict)
     timers: dict[str, dict[str, float]] = field(default_factory=dict)
 
@@ -123,6 +127,11 @@ def summarize(records: Iterable[Mapping[str, Any]]) -> TraceSummary:
             s.gp_fits += 1
         elif etype == "bo.iteration" and data.get("fallback"):
             s.fallbacks += 1
+        elif etype == "importance.sweep":
+            s.importance_sweeps += 1
+            s.importance_pairs += (int(data.get("groups", 0))
+                                   * int(data.get("entries", 0)))
+            s.importance_retraversed += int(data.get("retraversed", 0))
     return s
 
 
@@ -146,6 +155,13 @@ def render_summary(summary: TraceSummary) -> str:
                  f"{summary.memo_misses} misses / {summary.memo_stores} stores")
     lines.append(f"  resilience: {summary.faults_injected} faults injected, "
                  f"{summary.retries} retries")
+    if summary.importance_sweeps:
+        pairs = summary.importance_pairs
+        reused = 1.0 - summary.importance_retraversed / pairs if pairs else 0.0
+        lines.append(f"  importance: {summary.importance_sweeps} sweeps, "
+                     f"{summary.importance_retraversed} of {pairs} "
+                     f"(group, OOB entry) pairs walked again "
+                     f"({reused:.1%} reused)")
     if summary.span_times:
         lines.append("  time by component:")
         order = sorted(summary.span_times.items(), key=lambda kv: -kv[1][0])

@@ -274,11 +274,12 @@ class TuningDaemon:
                 return
             try:
                 request = json.loads(raw.decode())
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # Undecodable bytes, malformed or too deeply nested JSON.
                 response = {"ok": False, "error": f"bad request: {exc}"}
             else:
                 response = handle_request(self.store, request)
-                if request.get("op") == "shutdown":
+                if response["ok"] and request.get("op") == "shutdown":
                     self._stop.set()
             conn.sendall(json.dumps(response).encode() + b"\n")
         except OSError:

@@ -99,9 +99,15 @@ def parse_address(text: str) -> tuple[str, Any]:
     return "unix", text
 
 
-def handle_request(store: SessionStore,
-                   request: dict[str, Any]) -> dict[str, Any]:
-    """Serve one decoded request against *store* (the daemon's side)."""
+def handle_request(store: SessionStore, request: Any) -> dict[str, Any]:
+    """Serve one decoded request against *store* (the daemon's side).
+
+    Any JSON value may arrive off the wire; one that is not an object is
+    answered with an error instead of raising.
+    """
+    if not isinstance(request, dict):
+        return {"ok": False, "error": "bad request: expected a JSON object, "
+                                      f"got {type(request).__name__}"}
     op = request.get("op")
     try:
         if op == "submit":

@@ -41,6 +41,8 @@ def sample_records():
         tracer.emit("fault.injected", {"index": 1})
         tracer.emit("retry.attempt", {"index": 1})
         tracer.emit("bo.iteration", {"iteration": 0, "fallback": True})
+        tracer.emit("importance.sweep", {"groups": 4, "entries": 50,
+                                         "retraversed": 30})
     tracer.count("evals", 2)
     tracer.close()
     return sink.records
@@ -120,6 +122,9 @@ class TestSummarize:
         assert s.faults_injected == 1 and s.retries == 1
         assert s.gp_fits == 1
         assert s.fallbacks == 1
+        assert s.importance_sweeps == 1
+        assert s.importance_pairs == 200
+        assert s.importance_retraversed == 30
         assert s.acquisition_names == ["EI", "LCB"]
         assert s.hedge_trajectory == [[0.5, 0.5], [0.7, 0.3]]
         assert s.span_times["tune"][1] == 1
@@ -131,6 +136,8 @@ class TestSummarize:
         assert "evaluations: 2 (1 failed)" in text
         assert "1 guard kills" in text
         assert "1 faults injected, 1 retries" in text
+        assert "30 of 200 (group, OOB entry) pairs walked again " \
+            "(85.0% reused)" in text
         assert "hedge probabilities" in text
         assert "EI" in text and "LCB" in text
         assert "tune" in text   # time-by-component section

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -10,7 +12,8 @@ import pytest
 from repro.core.journal import EvaluationJournal
 from repro.obs import InMemorySink, Tracer
 from repro.serve import (SessionCancelled, SessionSpec, SessionStore,
-                         TuningDaemon, result_payload, run_session)
+                         SocketTransport, TuningDaemon, parse_address,
+                         result_payload, run_session)
 
 from .harness import fast_spec_kwargs
 
@@ -132,3 +135,62 @@ class TestValidation:
     def test_bad_construction_rejected(self, tmp_path, kw):
         with pytest.raises(ValueError):
             TuningDaemon(SessionStore(tmp_path / "s"), **kw)
+
+
+class TestRpcBoundary:
+    @pytest.fixture()
+    def live_daemon(self, tmp_path):
+        """An idle in-process daemon with its RPC server up."""
+        store = SessionStore(tmp_path / "store", fsync=False)
+        daemon = TuningDaemon(store, workers=1, poll_s=0.02,
+                              socket_address="auto", session_traces=False)
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        for _ in range(400):
+            info = store.daemon_info()
+            if info is not None and info.get("address"):
+                break
+            time.sleep(0.02)
+        yield store
+        daemon.stop()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def send_raw(store, frame: bytes) -> dict:
+        family, endpoint = parse_address(store.daemon_info()["address"])
+        if family == "tcp":
+            sock = socket.create_connection(endpoint, timeout=10)
+        else:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(10)
+            sock.connect(endpoint)
+        with sock:
+            sock.sendall(frame)
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        return json.loads(reply.decode())
+
+    @pytest.mark.parametrize("frame", [
+        b"[1]\n", b'"x"\n', b"null\n", b"3\n",
+        b"\xff\xfe\n", b"[" * 100_000 + b"\n",
+    ], ids=["list", "string", "null", "number", "bad-utf8", "deep-nesting"])
+    def test_malformed_request_answers_and_rpc_survives(self, live_daemon,
+                                                        frame):
+        store = live_daemon
+        response = self.send_raw(store, frame)
+        assert response["ok"] is False
+        assert response["error"].startswith("bad request")
+        assert SocketTransport("auto", store_root=store.root).ping()
+
+    def test_every_malformed_request_in_a_row(self, live_daemon):
+        store = live_daemon
+        for frame in (b"[1]\n", b'"x"\n', b"null\n", b"3\n"):
+            assert self.send_raw(store, frame)["ok"] is False
+        transport = SocketTransport("auto", store_root=store.root)
+        assert transport.ping()
+        assert transport.list_sessions() == []
