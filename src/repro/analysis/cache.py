@@ -14,9 +14,9 @@ Two kinds of entries, matching the engine's two phases:
   and recomputes the whole flow phase, which is exactly the soundness
   condition for interprocedural results.
 
-Suppression matching, baseline comparison and report assembly always
-happen fresh per run (they are cheap and depend on run flags), so cached
-entries never encode suppression state.
+Suppression matching and report assembly always happen fresh per run
+(they are cheap and depend on run flags), so cached entries never
+encode suppression state.
 
 Entries are disposable artifacts: corrupt or unreadable files read as
 misses and are rebuilt, and writes go through a temp file + ``os.replace``

@@ -1,7 +1,6 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
-Exit codes: 0 clean, 1 active (unsuppressed, unbaselined) findings,
-2 usage error.
+Exit codes: 0 clean, 1 active (unsuppressed) findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -59,14 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", action="store_true",
         help=("print the project symbol table / call graph the "
               "whole-program rules run on, instead of linting"))
-    snapshot = parser.add_mutually_exclusive_group()
-    snapshot.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=("compare against a findings snapshot: findings present in "
-              "it are reported but do not fail the run"))
-    snapshot.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write a findings snapshot for later --baseline runs and exit")
     return parser
 
 
@@ -90,17 +81,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     try:
         report = analyze_paths(args.paths, select=select, ignore=ignore,
-                               n_jobs=args.jobs, cache_dir=args.cache_dir,
-                               baseline=args.baseline)
+                               n_jobs=args.jobs, cache_dir=args.cache_dir)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline is not None:
-        from .baseline import write_baseline
-        count = write_baseline(report.findings, args.write_baseline)
-        print(f"baseline written: {count} finding"
-              f"{'s' if count != 1 else ''} -> {args.write_baseline}")
-        return 0
     if args.format == "json":
         print(render_json(report))
     elif args.format == "sarif":

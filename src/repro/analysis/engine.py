@@ -62,12 +62,8 @@ class AnalysisReport:
         return tuple(f for f in self.findings if f.suppressed)
 
     @property
-    def baselined(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.baselined)
-
-    @property
     def active(self) -> tuple[Finding, ...]:
-        """Findings that fail the run: neither suppressed nor baselined."""
+        """Findings that fail the run: the unsuppressed ones."""
         return tuple(f for f in self.findings if f.active)
 
     @property
@@ -183,15 +179,13 @@ def analyze_paths(paths: Sequence[str | Path], *,
                   select: Iterable[str] | None = None,
                   ignore: Iterable[str] | None = None,
                   n_jobs: int | None = None,
-                  cache_dir: str | Path | None = None,
-                  baseline: str | Path | None = None) -> AnalysisReport:
+                  cache_dir: str | Path | None = None) -> AnalysisReport:
     """Lint every Python file under *paths* with the selected rules.
 
     ``n_jobs`` fans the per-module phase out over a thread pool
     (``None`` defers to ``ROBOTUNE_JOBS``, matching every other
     parallel entry point in the library); ``cache_dir`` enables the
-    content-hash result cache; ``baseline`` marks findings present in a
-    prior snapshot as grandfathered (see :mod:`repro.analysis.baseline`).
+    content-hash result cache.
     """
     from ..utils.parallel import parallel_map
 
@@ -289,11 +283,6 @@ def analyze_paths(paths: Sequence[str | Path], *,
         findings.extend(_resolve_suppressions(
             display, suppressions, by_display[display], meta_active))
     findings.sort(key=Finding.sort_key)
-
-    # -- baseline comparison ---------------------------------------------------
-    if baseline is not None:
-        from .baseline import apply_baseline, load_baseline
-        findings = apply_baseline(findings, load_baseline(baseline))
 
     return AnalysisReport(findings=tuple(findings),
                           files_scanned=len(files),

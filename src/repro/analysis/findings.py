@@ -13,9 +13,6 @@ class Finding:
     *suppressed* finding matched a ``# repro: noqa`` comment carrying its
     rule id; it is kept in the report (with its justification) so the
     JSON output is a complete audit trail, but it does not fail the run.
-    A *baselined* finding matched an entry in a ``--baseline`` snapshot:
-    grandfathered debt that is reported but does not fail the run either
-    (see :mod:`repro.analysis.baseline`).
     """
 
     rule: str
@@ -25,18 +22,14 @@ class Finding:
     message: str
     suppressed: bool = False
     justification: str | None = None
-    baselined: bool = False
 
     def suppress(self, justification: str) -> "Finding":
         return replace(self, suppressed=True, justification=justification)
 
-    def as_baselined(self) -> "Finding":
-        return replace(self, baselined=True)
-
     @property
     def active(self) -> bool:
         """Whether this finding should fail the run."""
-        return not self.suppressed and not self.baselined
+        return not self.suppressed
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -7,7 +7,7 @@ rules run on:
 
 * a **symbol table** — every module, class and function discovered under
   the scanned paths, keyed by dotted qualified name
-  (``repro.core.bo.BOEngine._fold_in``);
+  (``repro.core.bo.BOEngine._fold``);
 * an **import map** per module — local name → dotted target, with
   relative imports resolved against the module's package;
 * a **call resolver** — best-effort static resolution of a call

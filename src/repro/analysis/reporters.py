@@ -1,7 +1,7 @@
 """Text, JSON, and SARIF renderings of an :class:`AnalysisReport`.
 
 The JSON document is versioned and schema-stable (tests pin it): CI and
-tooling consume it, so fields are only ever added, never renamed.  The
+tooling consume it, so fields are never renamed.  The
 SARIF document follows the 2.1.0 schema so code-scanning UIs (GitHub,
 VS Code SARIF viewers) can ingest the same run CI gates on.
 """
@@ -29,7 +29,6 @@ def _finding_dict(finding: Finding) -> dict[str, object]:
         "message": finding.message,
         "suppressed": finding.suppressed,
         "justification": finding.justification,
-        "baselined": finding.baselined,
     }
 
 
@@ -42,7 +41,6 @@ def render_json(report: AnalysisReport) -> str:
             "total": len(report.findings),
             "suppressed": len(report.suppressed),
             "unsuppressed": len(report.unsuppressed),
-            "baselined": len(report.baselined),
             "active": len(report.active),
         },
         "findings": [_finding_dict(f) for f in report.findings],
@@ -56,23 +54,15 @@ def render_text(report: AnalysisReport, *,
     for finding in report.findings:
         if finding.suppressed and not show_suppressed:
             continue
-        if finding.suppressed:
-            marker = f" (suppressed: {finding.justification})"
-        elif finding.baselined:
-            marker = " (baselined)"
-        else:
-            marker = ""
+        marker = (f" (suppressed: {finding.justification})"
+                  if finding.suppressed else "")
         lines.append(f"{finding.location()}: {finding.rule} "
                      f"{finding.message}{marker}")
     n_bad = len(report.active)
-    tail = f"({len(report.suppressed)} suppressed)"
-    if report.baselined:
-        tail = (f"({len(report.suppressed)} suppressed, "
-                f"{len(report.baselined)} baselined)")
     lines.append(f"{report.files_scanned} files scanned, "
                  f"{len(report.rule_ids)} rules, "
                  f"{n_bad} finding{'s' if n_bad != 1 else ''} "
-                 f"{tail}")
+                 f"({len(report.suppressed)} suppressed)")
     return "\n".join(lines)
 
 
@@ -93,17 +83,11 @@ def _sarif_result(finding: Finding,
     index = rule_index.get(finding.rule)
     if index is not None:
         result["ruleIndex"] = index
-    suppressions: list[dict[str, object]] = []
     if finding.suppressed:
         entry: dict[str, object] = {"kind": "inSource"}
         if finding.justification:
             entry["justification"] = finding.justification
-        suppressions.append(entry)
-    if finding.baselined:
-        suppressions.append({"kind": "external",
-                             "justification": "matched baseline snapshot"})
-    if suppressions:
-        result["suppressions"] = suppressions
+        result["suppressions"] = [entry]
     return result
 
 

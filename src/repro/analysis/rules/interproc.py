@@ -96,7 +96,7 @@ class ThreadOwnership(FlowRule):
     title = "worker-reachable mutation of engine-owner state"
     rationale = (
         "BOEngine/EvaluationSupervisor/PoisonQuarantine attributes are "
-        "folded by exactly one thread (the _fold_in-style collecting "
+        "folded by exactly one thread (the _fold-style collecting "
         "side of next_completed()); a method that mutates them and is "
         "reachable from a submitted callable runs on a worker thread and "
         "races the owner, making results depend on completion order. "

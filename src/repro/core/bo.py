@@ -14,8 +14,9 @@ L-BFGS-B refinement of the best candidate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from contextlib import closing, contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -142,6 +143,12 @@ class BOIterationRecord:
 class BOEngine:
     """GP + GP-Hedge minimization loop.
 
+    One propose → dispatch → fold loop (:meth:`minimize`) serves every
+    mode: ``batch_size``, ``async_workers`` and ``supervise`` only pick
+    how proposals are dispatched — in rounds on the calling thread, on a
+    worker pool, or on a supervised worker pool.  Every form charges the
+    guard, Hedge gains, records and early-stop counter per evaluation.
+
     Iterations where no usable surrogate exists — the covariance cannot be
     factorized even after jitter escalation, or every observation is
     censored at a single cap (zero spread) — degrade to a space-filling
@@ -187,31 +194,28 @@ class BOEngine:
         take different (usually better) steps, so nominated points can
         differ from the finite-difference path.
     batch_size:
-        Evaluate q points per BO round instead of one.  Points after the
-        first are nominated against constant-liar fantasies (pending
-        points fixed at the incumbent objective, the "CL-min" lie) so a
-        round proposes q *distinct* configurations, then all q are
-        evaluated concurrently through ``repro.utils.parallel`` when the
-        objective supports ``spawn_view()`` (guard thresholds, journal
-        entries, fault accounting and Hedge gains are still charged per
-        point).  ``batch_size=1`` (the default) is the paper's serial
-        Algorithm 1, decision-for-decision.
+        Points per inline round.  Points after a round's first are
+        nominated against constant-liar fantasies (pending points fixed
+        at the incumbent objective, the "CL-min" lie) so a round proposes
+        q *distinct* configurations, which are then evaluated together —
+        concurrently through ``repro.utils.parallel`` when the objective
+        supports ``spawn_view()``.  ``1`` (the default) is the serial loop.
     async_workers:
-        Fully asynchronous mode: keep up to k evaluations in flight on a
-        :class:`repro.utils.parallel.WorkerPool`, fold each completed
-        evaluation into the GP immediately, and draw the replacement
-        proposal with busy-point penalization over the in-flight set
+        Dispatch on a k-worker :class:`repro.utils.parallel.WorkerPool`
+        instead of inline, proposing with busy-point penalization
         (:class:`repro.core.penalize.LocalPenalizer`) instead of
-        constant-liar fantasies — no worker ever waits on a round
-        barrier.  ``0`` (the default) keeps the synchronous engine;
-        ``async_workers=1`` executes exactly the serial loop's decision
-        sequence (no pending points, objective called directly), which
-        tests pin bit-for-bit.  ``k > 1`` requires the objective to
-        expose class-level ``spawn_view()``; otherwise the engine warns,
-        counts a ``batch.serial_fallback``, and degrades to one worker.
-        Mutually exclusive with ``batch_size > 1``.  See
-        docs/PERFORMANCE.md for when to prefer async over constant-liar
-        batching.
+        constant-liar fantasies, so no worker waits on a round barrier.
+        ``0`` (the default) dispatches inline; ``1`` makes exactly the
+        serial loop's decisions, which tests pin bit-for-bit.  ``k > 1``
+        requires the objective to expose class-level ``spawn_view()``;
+        otherwise the engine warns, counts a ``batch.serial_fallback``,
+        and degrades to one worker.  Mutually exclusive with
+        ``batch_size > 1``.  See docs/PERFORMANCE.md for when to prefer
+        async over constant-liar rounds.
+    supervise:
+        Optional :class:`~repro.supervise.SupervisePolicy`: run the pool
+        under an evaluation supervisor (deadlines, redispatch, poison
+        quarantine — docs/ROBUSTNESS.md).  Requires ``async_workers >= 1``.
     refine_starts:
         Sweep candidates polished per acquisition when ``gradients`` is
         on (the gradient refinement is cheap enough to multi-start).
@@ -343,6 +347,10 @@ class BOEngine:
                  ) -> list[Evaluation]:
         """Run the BO loop; returns the evaluations it performed.
 
+        One propose → dispatch → fold driver for every mode (see the
+        class docstring).  Early stopping ends the issuing; evaluations
+        already launched still fold (their cost is paid).
+
         Parameters
         ----------
         evaluate:
@@ -362,16 +370,6 @@ class BOEngine:
         """
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.supervise is not None:
-            return self._minimize_supervised(evaluate, space, initial,
-                                             budget, guard)
-        if self.async_workers > 0:
-            return self._minimize_async(evaluate, space, initial, budget,
-                                        guard)
-        if self.batch_size > 1:
-            return self._minimize_batched(evaluate, space, initial, budget,
-                                          guard)
-        evals: list[Evaluation] = []
         X = [np.asarray(e.vector, dtype=float) for e in initial]
         y = [float(e.objective) for e in initial]
         if guard is not None:
@@ -380,36 +378,112 @@ class BOEngine:
         if not X:
             raise ValueError("BO requires at least one prior observation")
 
-        since_improve = 0
-        best_so_far = min(y)
-        for it in range(budget):
-            # Graceful degradation (docs/ROBUSTNESS.md): a GP that cannot
-            # be factorized even after jitter escalation, or an
-            # observation window with no spread (every evaluation censored
-            # at one cap), yields no usable surrogate — propose a
-            # space-filling LHS point for this iteration instead of
-            # raising away the whole session.
-            choice = None
-            try:
-                y_arr = np.asarray(y)
-                if float(np.ptp(y_arr)) < _STD_FLOOR:
-                    raise _DegenerateObservations
-                gp = self._fit_gp(np.vstack(X), y_arr, len(evals))
-                nominees = self._nominate(gp, y_arr, space)
-                choice = self.hedge.choose(nominees)
-                u = space.snap(choice.nominees[choice.chosen_index])
-            except (np.linalg.LinAlgError, _DegenerateObservations):
-                self.fallbacks += 1
-                u = space.snap(
-                    latin_hypercube(1, space.dim, self._rng)[0])
+        run = _Loop(X=X, y=y, guard=guard, best=min(y))
+        if self.supervise is not None:
+            dispatch = _SupervisedDispatch(self, evaluate, guard, space, y)
+        elif self.async_workers > 0:
+            dispatch = _PoolDispatch(self, evaluate, guard)
+        else:
+            dispatch = _InlineDispatch(self, evaluate, guard,
+                                       self.batch_size)
+        with closing(dispatch):
+            while len(run.evals) < budget:
+                while (not run.stop and dispatch.has_slot()
+                       and len(run.evals) + len(dispatch.pending) < budget):
+                    with dispatch.proposing():
+                        u, choice = self._propose(
+                            space, run, dispatch.points(), dispatch.blocked)
+                    idx = len(run.evals) + len(dispatch.pending)
+                    dispatch.launch(idx, u, choice)
+                if not dispatch.pending:
+                    break
+                dispatch.collect(lambda done: self._fold(run, done))
+        return run.evals
 
-            threshold = guard.threshold_s() if guard is not None else None
-            ev = evaluate(u, threshold)
-            evals.append(ev)
-            X.append(np.asarray(ev.vector, dtype=float))
-            y.append(float(ev.objective))
-            if guard is not None:
-                guard.observe(ev.cost_s, ev.ok)
+    def _propose(self, space: ConfigSpace, run: "_Loop",
+                 pending: list[np.ndarray],
+                 blocked: Collection[bytes] = frozenset()):
+        """Draw the next point given those still pending: ``(point, choice)``.
+
+        With nothing pending this is the paper's serial proposal, which
+        the golden digests pin: fit the GP (hyperparameters re-optimized
+        on schedule) and let the Hedge portfolio choose among the
+        acquisitions' nominees.  Pending points are handled by kind:
+
+        * the earlier points of a constant-liar round (``batch_size > 1``)
+          join the training set with the incumbent objective as their
+          fantasy outcome ("CL-min" — the optimistic lie deflates the
+          posterior variance around them, steering this nomination
+          elsewhere).  Fantasy refits reuse the current theta: only a
+          round's first fit may trigger scheduled hyperopt.
+        * in-flight asynchronous evaluations are multiplied out of every
+          acquisition's candidate sweep by a :class:`LocalPenalizer`.
+
+        Graceful degradation (docs/ROBUSTNESS.md): a GP that cannot be
+        factorized even after jitter escalation, or an observation window
+        with no spread (every evaluation censored at one cap), yields no
+        usable surrogate — the proposal becomes a space-filling LHS draw
+        instead of raising away the whole session.  A proposal colliding
+        with a pending point is redrawn the same way, so a round never
+        burns budget re-evaluating one configuration, and so is one in
+        *blocked* (configurations quarantined by the supervisor).
+        """
+        choice = None
+        try:
+            y_arr = np.asarray(run.y)
+            if float(np.ptp(y_arr)) < _STD_FLOOR:
+                raise _DegenerateObservations
+            penalizer = None
+            if pending and self.batch_size > 1:
+                y_arr = np.asarray(run.y + [min(run.y)] * len(pending))
+                gp = self._fit_gp(np.vstack(run.X + pending), y_arr, None)
+            else:
+                gp = self._fit_gp(np.vstack(run.X), y_arr, len(run.evals))
+                if pending:
+                    mean = float(y_arr.mean())
+                    std = _safe_std(y_arr)
+                    f_best = (float(y_arr.min()) - mean) / std
+                    penalizer = LocalPenalizer(gp, np.vstack(pending), mean,
+                                               std, f_best)
+            nominees = self._nominate(gp, y_arr, space, penalizer=penalizer)
+            choice = self.hedge.choose(nominees)
+            u = space.snap(choice.nominees[choice.chosen_index])
+        except (np.linalg.LinAlgError, _DegenerateObservations):
+            self.fallbacks += 1
+            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
+        if any(np.array_equal(u, p) for p in pending):
+            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
+        # The bound only matters in degenerate toy spaces where LHS can
+        # keep landing on a blocked grid cell.
+        for _ in range(32):
+            if vector_key(u) not in blocked:
+                break
+            choice = None
+            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
+        return u, choice
+
+    def _fold(self, run: "_Loop",
+              done: list[tuple[np.ndarray, object, float | None,
+                               Evaluation]]) -> None:
+        """Fold completed evaluations into the loop's state.
+
+        The single place the loop mutates observations, guard, Hedge
+        gains, records and the early-stop counter (rule RPP004: worker
+        callables return results; they never touch engine state).  *done*
+        lists ``(point, choice, kill_threshold, evaluation)``: one
+        completion under serial, async and supervised dispatch, a whole
+        constant-liar round in nomination order.  Every point is charged
+        to the guard, the records and the early-stop counter; one refit
+        on the real (lie-free) observations scores every choice's
+        nominees for the Hedge gains.
+        """
+        first = len(run.evals)
+        for it, (_, _, threshold, ev) in enumerate(done, first):
+            run.evals.append(ev)
+            run.X.append(np.asarray(ev.vector, dtype=float))
+            run.y.append(float(ev.objective))
+            if run.guard is not None:
+                run.guard.observe(ev.cost_s, ev.ok)
             self._tracer.emit("eval.result", evaluation_data(it, ev))
             self._tracer.count("evals")
             if ev.truncated and threshold is not None:
@@ -417,20 +491,23 @@ class BOEngine:
                                   {"i": it, "threshold": float(threshold),
                                    "cost_s": float(ev.cost_s)})
 
-            if choice is not None:
-                # Refit (cheap) and update Hedge gains with the posterior
-                # mean at every nominee, standardized and negated for
-                # minimization.  Skipped on fallback iterations — there
-                # were no nominees to score.
-                try:
-                    gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
-                    mu = gp2.predict(choice.nominees)
-                    y_arr = np.asarray(y)
-                    std = _safe_std(y_arr)
-                    self.hedge.update(-(mu - y_arr.mean()) / std)
-                except np.linalg.LinAlgError:
-                    self.fallbacks += 1
+        choices = [choice for _, choice, _, _ in done if choice is not None]
+        if choices:
+            # Gains are the refit posterior mean at every nominee,
+            # standardized and negated for minimization.  Fallback
+            # proposals had no nominees to score.
+            try:
+                y_arr = np.asarray(run.y)
+                gp = self._fit_gp(np.vstack(run.X), y_arr, None)
+                mean = float(y_arr.mean())
+                std = _safe_std(y_arr)
+                for choice in choices:
+                    mu = gp.predict(choice.nominees)
+                    self.hedge.update(-(mu - mean) / std)
+            except np.linalg.LinAlgError:
+                self.fallbacks += 1
 
+        for it, (u, choice, _, ev) in enumerate(done, first):
             self.records.append(BOIterationRecord(
                 iteration=it,
                 chosen_acquisition=choice.chosen_name if choice is not None
@@ -444,348 +521,14 @@ class BOEngine:
                 "acq": self.records[-1].chosen_acquisition,
                 "objective": float(ev.objective),
                 "fallback": choice is None})
-
-            if ev.objective < best_so_far - 1e-9:
-                best_so_far = ev.objective
-                since_improve = 0
+            if ev.objective < run.best - 1e-9:
+                run.best = ev.objective
+                run.since_improve = 0
             else:
-                since_improve += 1
+                run.since_improve += 1
                 if (self.early_stop_patience is not None
-                        and since_improve >= self.early_stop_patience):
-                    break
-        return evals
-
-    # -- asynchronous mode ---------------------------------------------------------
-    def _minimize_async(self, evaluate, space: ConfigSpace,
-                        initial: Sequence[Evaluation], budget: int,
-                        guard: MedianGuard | None) -> list[Evaluation]:
-        """Barrier-free variant of :meth:`minimize` (``async_workers=k``).
-
-        Up to k evaluations are in flight at once; the moment one
-        completes it is folded into the GP (observations, guard, Hedge
-        gains, records — the same per-point bookkeeping as the serial
-        loop, in completion order) and a replacement proposal is drawn
-        with the still-pending points locally penalized out of the
-        acquisition surface.  At ``k=1`` there is never a pending point
-        and the objective is called directly, so the decision sequence is
-        bit-identical to the serial loop (pinned by the head-parity
-        tests).  At ``k>1`` results depend on completion order — the
-        price of never idling a worker.
-
-        Observability: ``async.dispatch``/``async.fold`` events carry the
-        in-flight depth, the ``async.wait`` timer accumulates queue wait
-        (blocked on the pool), ``async.propose`` the proposal time during
-        which free workers idle, and the ``async.idle_worker_slots``
-        counter the number of worker slots empty at each dispatch.
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        k = self.async_workers
-        if k > 1 and not _spawn_capable(evaluate):
-            self._warn_serial_fallback(evaluate, k)
-            k = 1
-        # One worker needs no thread: the serial pool backend runs the
-        # submitted task inside next_completed(), on this thread, which
-        # also keeps the k=1 parity contract trivially exact.
-        backend = "thread" if k > 1 else "serial"
-
-        since_improve = 0
-        best_so_far = min(y)
-        pending: dict[int, np.ndarray] = {}
-        choices: dict[int, object] = {}
-        thresholds: dict[int, float | None] = {}
-        issued = 0
-        folded = 0
-        stop = False
-        with WorkerPool(k, backend=backend, tracer=self._tracer) as pool:
-            while folded < budget:
-                while not stop and issued < budget and len(pending) < k:
-                    self._tracer.count("async.idle_worker_slots",
-                                       k - len(pending))
-                    with self._tracer.timer("async.propose"):
-                        u, choice = self._propose(space, X, y, len(evals),
-                                                  list(pending.values()))
-                    threshold = guard.threshold_s() if guard is not None \
-                        else None
-                    # Views are spawned serially at dispatch time (the
-                    # spawn_view contract); one worker evaluates directly.
-                    runner = evaluate.spawn_view() if k > 1 else evaluate
-                    idx = issued
-                    pending[idx] = u
-                    choices[idx] = choice
-                    thresholds[idx] = threshold
-                    pool.submit(lambda r=runner, v=u, t=threshold: r(v, t),
-                                tag=idx)
-                    issued += 1
-                    self._tracer.emit("async.dispatch",
-                                      {"i": idx, "in_flight": len(pending)})
-                if not pending:
-                    break
-                with self._tracer.timer("async.wait"):
-                    idx, ev = pool.next_completed()
-                u = pending.pop(idx)
-                choice = choices.pop(idx)
-                threshold = thresholds.pop(idx)
-                self._fold_in(ev, u, choice, threshold, folded, evals, X, y,
-                              guard)
-                self._tracer.emit("async.fold",
-                                  {"i": idx, "in_flight": len(pending)})
-                folded += 1
-                if ev.objective < best_so_far - 1e-9:
-                    best_so_far = ev.objective
-                    since_improve = 0
-                else:
-                    since_improve += 1
-                    if (self.early_stop_patience is not None
-                            and since_improve >= self.early_stop_patience):
-                        # Stop issuing; in-flight evaluations still fold
-                        # (their cost is already paid).
-                        stop = True
-        return evals
-
-    # -- supervised asynchronous mode ------------------------------------------------
-    def _minimize_supervised(self, evaluate, space: ConfigSpace,
-                             initial: Sequence[Evaluation], budget: int,
-                             guard: MedianGuard | None) -> list[Evaluation]:
-        """:meth:`_minimize_async` under an :class:`EvaluationSupervisor`.
-
-        Every dispatch is accountable: an evaluation that blows its
-        deadline, or whose worker dies with redispatch exhausted, is
-        charged to the search as a censored-at-cap outcome (status
-        TIMEOUT/RUNTIME_ERROR, ``transient=True``,
-        ``fault="deadline"``/``"worker_death"``) and folded into the GP
-        like any other observation, so the loop always completes its
-        budget.  Configurations quarantined by the supervisor (repeat
-        offenders) are excluded from re-proposal for the rest of the run
-        and collected in :attr:`quarantined`.  The pool always uses the
-        thread backend — deadline enforcement requires the driver thread
-        to stay free to abandon a wedged task — which is why supervised
-        runs are not bit-reproducible (docs/ROBUSTNESS.md).
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        policy = self.supervise
-        k = self.async_workers
-        capable = _spawn_capable(evaluate)
-        if not capable:
-            if k > 1:
-                self._warn_serial_fallback(evaluate, k)
-                k = 1
-            if policy.speculate:
-                # A twin would run the one shared objective concurrently
-                # with its original; without views that is unsafe.
-                policy = replace(policy, speculate=False)
-        record_censored = getattr(evaluate, "record_censored", None)
-
-        since_improve = 0
-        best_so_far = min(y)
-        pending: dict[int, np.ndarray] = {}
-        choices: dict[int, object] = {}
-        thresholds: dict[int, float | None] = {}
-        blocked: set[bytes] = set()
-        issued = 0
-        folded = 0
-        stop = False
-        with WorkerPool(k, backend="thread", tracer=self._tracer) as pool:
-            supervisor = EvaluationSupervisor(pool, policy,
-                                              tracer=self._tracer)
-            while folded < budget:
-                while (not stop and issued < budget
-                       and supervisor.in_flight < k
-                       and supervisor.free_slots > 0):
-                    self._tracer.count("async.idle_worker_slots",
-                                       k - supervisor.in_flight)
-                    with self._tracer.timer("async.propose"):
-                        u, choice = self._propose(space, X, y, len(evals),
-                                                  list(pending.values()))
-                        # Quarantined configs never run again: redraw
-                        # space-filling replacements (the bound only
-                        # matters in degenerate toy spaces where LHS can
-                        # keep landing on a blocked grid cell).
-                        for _ in range(32):
-                            if vector_key(u) not in blocked:
-                                break
-                            choice = None
-                            u = space.snap(
-                                latin_hypercube(1, space.dim, self._rng)[0])
-                    threshold = guard.threshold_s() if guard is not None \
-                        else None
-                    idx = issued
-                    pending[idx] = u
-                    choices[idx] = choice
-                    thresholds[idx] = threshold
-
-                    def factory(v=u, t=threshold):
-                        # Called by the supervisor once per physical
-                        # dispatch, on this thread: a redispatch or
-                        # speculative twin gets a fresh objective view.
-                        runner = evaluate.spawn_view() if capable \
-                            else evaluate
-                        return lambda r=runner: r(v, t)
-
-                    supervisor.submit(factory, tag=idx, key=vector_key(u))
-                    issued += 1
-                    self._tracer.emit("async.dispatch",
-                                      {"i": idx,
-                                       "in_flight": supervisor.in_flight})
-                if supervisor.in_flight == 0:
-                    break
-                with self._tracer.timer("async.wait"):
-                    outcome = supervisor.next_outcome()
-                idx = outcome.tag
-                u = pending.pop(idx)
-                choice = choices.pop(idx)
-                threshold = thresholds.pop(idx)
-                if isinstance(outcome, Completed):
-                    ev = outcome.result
-                else:
-                    ev = self._censor_outcome(evaluate, space, u, y, outcome)
-                    if record_censored is not None:
-                        record_censored(ev)
-                    if outcome.quarantined:
-                        blocked.add(vector_key(u))
-                        self.quarantined.append(
-                            np.asarray(u, dtype=float).copy())
-                self._fold_in(ev, u, choice, threshold, folded, evals, X, y,
-                              guard)
-                self._tracer.emit("async.fold",
-                                  {"i": idx,
-                                   "in_flight": supervisor.in_flight})
-                folded += 1
-                if ev.objective < best_so_far - 1e-9:
-                    best_so_far = ev.objective
-                    since_improve = 0
-                else:
-                    since_improve += 1
-                    if (self.early_stop_patience is not None
-                            and since_improve >= self.early_stop_patience):
-                        stop = True
-        return evals
-
-    def _censor_outcome(self, evaluate, space: ConfigSpace, u: np.ndarray,
-                        y: list[float], outcome) -> Evaluation:
-        """Synthesize the censored evaluation for a supervisor verdict.
-
-        The run never returned, so the objective is censored "at least
-        this bad": the objective's own censoring hook at the full cap
-        when it has one, else the cap itself, else the worst observation
-        so far (never ``inf`` — it would wreck GP standardization).  The
-        cap is charged to search cost: that is what a real cluster spent
-        before the watchdog gave up on the evaluation.
-        """
-        conf = space.decode(u)
-        limit = getattr(evaluate, "time_limit_s", None)
-        censor = getattr(evaluate, "censor_value", None)
-        if censor is not None:
-            objective = float(censor(conf, None))
-        elif limit is not None:
-            objective = float(limit)
-        else:
-            objective = float(max(y))
-        cost = float(limit) if limit is not None else objective
-        if isinstance(outcome, DeadlineHit):
-            status, fault = RunStatus.TIMEOUT, "deadline"
-        else:
-            status, fault = RunStatus.RUNTIME_ERROR, "worker_death"
-        return Evaluation(vector=np.asarray(u, dtype=float).copy(),
-                          config=conf, objective=objective, cost_s=cost,
-                          status=status, truncated=True, transient=True,
-                          fault=fault)
-
-    def _propose(self, space: ConfigSpace, X: list[np.ndarray],
-                 y: list[float], n_evals: int,
-                 pending: list[np.ndarray]):
-        """One penalized proposal for the async loop: ``(point, choice)``.
-
-        Mirrors the serial loop's proposal block operation-for-operation
-        when *pending* is empty (same degenerate check, same fit
-        schedule, same fallback path — the k=1 parity contract); with
-        pending points a :class:`LocalPenalizer` multiplies their
-        exclusion balls into every acquisition's candidate sweep.  A
-        proposal colliding with an in-flight point is replaced by a
-        space-filling LHS draw, as in the constant-liar rounds.
-        """
-        choice = None
-        try:
-            y_arr = np.asarray(y)
-            if float(np.ptp(y_arr)) < _STD_FLOOR:
-                raise _DegenerateObservations
-            gp = self._fit_gp(np.vstack(X), y_arr, n_evals)
-            penalizer = None
-            if pending:
-                mean = float(y_arr.mean())
-                std = _safe_std(y_arr)
-                f_best = (float(y_arr.min()) - mean) / std
-                penalizer = LocalPenalizer(gp, np.vstack(pending), mean,
-                                           std, f_best)
-            nominees = self._nominate(gp, y_arr, space, penalizer=penalizer)
-            choice = self.hedge.choose(nominees)
-            u = space.snap(choice.nominees[choice.chosen_index])
-        except (np.linalg.LinAlgError, _DegenerateObservations):
-            self.fallbacks += 1
-            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-        if any(np.array_equal(u, p) for p in pending):
-            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-        return u, choice
-
-    def _fold_in(self, ev: Evaluation, u: np.ndarray, choice,
-                 threshold: float | None, it: int,
-                 evals: list[Evaluation], X: list[np.ndarray],
-                 y: list[float], guard: MedianGuard | None) -> None:
-        """Fold one completed evaluation into the engine's shared state.
-
-        The single place async completions mutate observations, guard,
-        Hedge gains and records (rule RPP004: worker callables return
-        results; they never touch engine state).  The bookkeeping order
-        matches the serial loop exactly.
-        """
-        evals.append(ev)
-        X.append(np.asarray(ev.vector, dtype=float))
-        y.append(float(ev.objective))
-        if guard is not None:
-            guard.observe(ev.cost_s, ev.ok)
-        self._tracer.emit("eval.result", evaluation_data(it, ev))
-        self._tracer.count("evals")
-        if ev.truncated and threshold is not None:
-            self._tracer.emit("guard.kill",
-                              {"i": it, "threshold": float(threshold),
-                               "cost_s": float(ev.cost_s)})
-        if choice is not None:
-            try:
-                gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
-                mu = gp2.predict(choice.nominees)
-                y_arr = np.asarray(y)
-                std = _safe_std(y_arr)
-                self.hedge.update(-(mu - y_arr.mean()) / std)
-            except np.linalg.LinAlgError:
-                self.fallbacks += 1
-        self.records.append(BOIterationRecord(
-            iteration=it,
-            chosen_acquisition=choice.chosen_name if choice is not None
-            else "fallback/lhs",
-            probabilities=choice.probabilities if choice is not None
-            else np.array([]),
-            point=u,
-            objective=ev.objective))
-        self._tracer.emit("bo.iteration", {
-            "iteration": it,
-            "acq": self.records[-1].chosen_acquisition,
-            "objective": float(ev.objective),
-            "fallback": choice is None})
+                        and run.since_improve >= self.early_stop_patience):
+                    run.stop = True
 
     def _warn_serial_fallback(self, evaluate, n_points: int) -> None:
         """Record that concurrent evaluation degraded to serial.
@@ -808,141 +551,6 @@ class BOEngine:
                 "Wrappers must implement spawn_view themselves to keep "
                 "per-evaluation bookkeeping under concurrency "
                 "(docs/PERFORMANCE.md).", RuntimeWarning, stacklevel=3)
-
-    # -- batched mode --------------------------------------------------------------
-    def _minimize_batched(self, evaluate, space: ConfigSpace,
-                          initial: Sequence[Evaluation], budget: int,
-                          guard: MedianGuard | None) -> list[Evaluation]:
-        """q-point-per-round variant of :meth:`minimize`.
-
-        Each round nominates ``min(batch_size, remaining)`` distinct
-        points via constant-liar fantasies, evaluates them concurrently
-        (when the objective supports :meth:`spawn_view`), then performs
-        the same per-point bookkeeping as the serial loop: guard
-        observations, iteration records, Hedge gain updates and the
-        early-stop counter are all charged per evaluation, in nomination
-        order.
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        since_improve = 0
-        best_so_far = min(y)
-        it = 0
-        while it < budget:
-            q = min(self.batch_size, budget - it)
-            points, choices = self._nominate_batch(space, X, y, q, len(evals))
-            # One kill threshold per round: all q points launch
-            # concurrently, so they share the guard state available at
-            # dispatch time (results still tighten it for the next round).
-            threshold = guard.threshold_s() if guard is not None else None
-            batch = self._evaluate_batch(evaluate, points, threshold)
-            for j, ev in enumerate(batch):
-                evals.append(ev)
-                X.append(np.asarray(ev.vector, dtype=float))
-                y.append(float(ev.objective))
-                if guard is not None:
-                    guard.observe(ev.cost_s, ev.ok)
-                self._tracer.emit("eval.result", evaluation_data(it + j, ev))
-                self._tracer.count("evals")
-                if ev.truncated and threshold is not None:
-                    self._tracer.emit("guard.kill",
-                                      {"i": it + j,
-                                       "threshold": float(threshold),
-                                       "cost_s": float(ev.cost_s)})
-
-            if any(c is not None for c in choices):
-                # Refit once on the real (lie-free) observations and score
-                # every round choice's nominees, exactly as the serial
-                # loop scores its single choice.
-                try:
-                    gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
-                    y_arr = np.asarray(y)
-                    mean = float(y_arr.mean())
-                    std = _safe_std(y_arr)
-                    for choice in choices:
-                        if choice is None:
-                            continue
-                        mu = gp2.predict(choice.nominees)
-                        self.hedge.update(-(mu - mean) / std)
-                except np.linalg.LinAlgError:
-                    self.fallbacks += 1
-
-            stop = False
-            for j, (u, ev, choice) in enumerate(zip(points, batch, choices)):
-                self.records.append(BOIterationRecord(
-                    iteration=it + j,
-                    chosen_acquisition=choice.chosen_name
-                    if choice is not None else "fallback/lhs",
-                    probabilities=choice.probabilities
-                    if choice is not None else np.array([]),
-                    point=u,
-                    objective=ev.objective))
-                self._tracer.emit("bo.iteration", {
-                    "iteration": it + j,
-                    "acq": self.records[-1].chosen_acquisition,
-                    "objective": float(ev.objective),
-                    "fallback": choice is None})
-                if ev.objective < best_so_far - 1e-9:
-                    best_so_far = ev.objective
-                    since_improve = 0
-                else:
-                    since_improve += 1
-                    if (self.early_stop_patience is not None
-                            and since_improve >= self.early_stop_patience):
-                        stop = True
-            it += q
-            if stop:
-                break
-        return evals
-
-    def _nominate_batch(self, space: ConfigSpace, X: list[np.ndarray],
-                        y: list[float], q: int, n_evals: int):
-        """Propose q distinct points for one round via constant liars.
-
-        The first point comes from the regular surrogate; each subsequent
-        nomination sees the pending points appended with the incumbent
-        objective as their fantasy outcome ("CL-min" — the optimistic lie
-        deflates the posterior variance around pending points, steering
-        later nominations elsewhere).  A nominee that still collides with
-        a pending point is replaced by a space-filling LHS draw so the
-        round never burns budget re-evaluating one configuration.
-        """
-        points: list[np.ndarray] = []
-        choices: list = []
-        Xc = list(X)
-        yc = list(y)
-        lie = float(min(y))
-        for j in range(q):
-            choice = None
-            try:
-                if float(np.ptp(np.asarray(y))) < _STD_FLOOR:
-                    raise _DegenerateObservations
-                yc_arr = np.asarray(yc)
-                # Only the round's first fit may trigger scheduled
-                # hyperopt; fantasy refits reuse the current theta.
-                gp = self._fit_gp(np.vstack(Xc), yc_arr,
-                                  n_evals if j == 0 else None)
-                nominees = self._nominate(gp, yc_arr, space)
-                choice = self.hedge.choose(nominees)
-                u = space.snap(choice.nominees[choice.chosen_index])
-            except (np.linalg.LinAlgError, _DegenerateObservations):
-                self.fallbacks += 1
-                u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-            if any(np.array_equal(u, p) for p in points):
-                u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-            points.append(u)
-            choices.append(choice)
-            if j + 1 < q:
-                Xc.append(np.asarray(u, dtype=float))
-                yc.append(lie)
-        return points, choices
 
     def _evaluate_batch(self, evaluate, points: list[np.ndarray],
                         threshold: float | None) -> list[Evaluation]:
@@ -1203,3 +811,245 @@ class BOEngine:
                 best_fun = float(res.fun)
                 best_u = np.clip(res.x, 0.0, 1.0)
         return best_u
+
+
+# -- dispatch forms ------------------------------------------------------------------
+@dataclass
+class _Loop:
+    """Per-call state of :meth:`BOEngine.minimize`; only ``_fold`` mutates it."""
+
+    X: list[np.ndarray]
+    y: list[float]
+    guard: MedianGuard | None
+    best: float
+    evals: list[Evaluation] = field(default_factory=list)
+    since_improve: int = 0
+    stop: bool = False
+
+
+class _Dispatch:
+    """How :meth:`BOEngine.minimize` launches proposals and folds results.
+
+    The driver proposes while :meth:`has_slot` holds — inside
+    :meth:`proposing`, given the :attr:`pending` points, never drawing a
+    configuration in :attr:`blocked` — and hands each proposal to
+    ``launch`` under its submission index; ``collect(fold)`` then waits
+    for completions and passes them to *fold* as ``(point, choice,
+    kill_threshold, evaluation)`` tuples.
+    """
+
+    blocked: Collection[bytes] = frozenset()
+
+    def __init__(self, engine: BOEngine, evaluate,
+                 guard: MedianGuard | None, slots: int):
+        self._engine = engine
+        self._evaluate = evaluate
+        self._guard = guard
+        self._tracer = engine._tracer
+        self.slots = slots
+        #: launched, not yet folded: index -> (point, choice[, threshold])
+        self.pending: dict[int, tuple] = {}
+
+    def has_slot(self) -> bool:
+        return len(self.pending) < self.slots
+
+    def points(self) -> list[np.ndarray]:
+        return [entry[0] for entry in self.pending.values()]
+
+    @contextmanager
+    def proposing(self):
+        yield
+
+    def close(self) -> None:
+        return None
+
+    def _threshold(self) -> float | None:
+        return self._guard.threshold_s() if self._guard is not None else None
+
+
+class _InlineDispatch(_Dispatch):
+    """Rounds of ``batch_size`` points evaluated on the calling thread.
+
+    A round of one is the paper's serial Algorithm 1.  A larger round is
+    proposed against constant-liar fantasies and then evaluated together,
+    concurrently when the objective allows (see
+    :meth:`BOEngine._evaluate_batch`).  One kill threshold per round: all
+    of its points launch at once, so they share the guard state available
+    at dispatch time (results still tighten it for the next round).
+    """
+
+    def launch(self, idx: int, u: np.ndarray, choice) -> None:
+        self.pending[idx] = (u, choice)
+
+    def collect(self, fold: Callable[[list], None]) -> None:
+        threshold = self._threshold()
+        batch = self._engine._evaluate_batch(self._evaluate, self.points(),
+                                             threshold)
+        done = [(u, choice, threshold, ev)
+                for (u, choice), ev in zip(self.pending.values(), batch)]
+        self.pending.clear()
+        fold(done)
+
+
+class _PoolDispatch(_Dispatch):
+    """Barrier-free dispatch on a :class:`WorkerPool` (``async_workers=k``).
+
+    Up to k evaluations are in flight at once; the moment one completes
+    it is folded in and its slot refilled with a proposal that penalizes
+    the points still running.  At k>1 results depend on completion order
+    — the price of never idling a worker.
+
+    Observability: ``async.dispatch``/``async.fold`` events carry the
+    in-flight depth, the ``async.wait`` timer accumulates queue wait
+    (blocked on the pool), ``async.propose`` the proposal time during
+    which free workers idle, and the ``async.idle_worker_slots`` counter
+    the number of worker slots empty at each dispatch.
+    """
+
+    #: Run even a single worker on a thread (see :class:`_SupervisedDispatch`).
+    _threaded = False
+
+    def __init__(self, engine: BOEngine, evaluate,
+                 guard: MedianGuard | None):
+        k = engine.async_workers
+        self._capable = _spawn_capable(evaluate)
+        if k > 1 and not self._capable:
+            engine._warn_serial_fallback(evaluate, k)
+            k = 1
+        super().__init__(engine, evaluate, guard, k)
+        # One worker needs no thread: the serial pool backend runs the
+        # submitted task inside next_completed(), on this thread, which
+        # also keeps the k=1 parity contract trivially exact.
+        backend = "thread" if k > 1 or self._threaded else "serial"
+        self.pool = WorkerPool(k, backend=backend, tracer=self._tracer)
+
+    def close(self) -> None:
+        self.pool.close()
+
+    def has_slot(self) -> bool:
+        # Supervised speculative twins occupy workers too.
+        return super().has_slot() and self.pool.free_workers > 0
+
+    @contextmanager
+    def proposing(self):
+        self._tracer.count("async.idle_worker_slots",
+                           self.slots - len(self.pending))
+        with self._tracer.timer("async.propose"):
+            yield
+
+    def launch(self, idx: int, u: np.ndarray, choice) -> None:
+        threshold = self._threshold()
+        self.pending[idx] = (u, choice, threshold)
+        self._start(idx, u, threshold)
+        self._tracer.emit("async.dispatch",
+                          {"i": idx, "in_flight": len(self.pending)})
+
+    def _start(self, idx: int, u: np.ndarray,
+               threshold: float | None) -> None:
+        # Views are spawned serially at dispatch time (the spawn_view
+        # contract); one worker evaluates directly.
+        runner = self._evaluate.spawn_view() if self.slots > 1 \
+            else self._evaluate
+        self.pool.submit(lambda r=runner, v=u, t=threshold: r(v, t),
+                         tag=idx)
+
+    def collect(self, fold: Callable[[list], None]) -> None:
+        idx, ev = self._next()
+        fold([(*self.pending.pop(idx), ev)])
+        self._tracer.emit("async.fold",
+                          {"i": idx, "in_flight": len(self.pending)})
+
+    def _next(self) -> tuple[int, Evaluation]:
+        with self._tracer.timer("async.wait"):
+            return self.pool.next_completed()
+
+
+class _SupervisedDispatch(_PoolDispatch):
+    """Pool dispatch under an :class:`EvaluationSupervisor` (``supervise=``).
+
+    Every dispatch is accountable: an evaluation that blows its deadline,
+    or whose worker dies with redispatch exhausted, is charged to the
+    search as a censored-at-cap outcome (status TIMEOUT/RUNTIME_ERROR,
+    ``transient=True``, ``fault="deadline"``/``"worker_death"``) and
+    folded into the GP like any other observation, so the loop always
+    completes its budget.  Configurations quarantined by the supervisor
+    (repeat offenders) are blocked from re-proposal for the rest of the
+    run and collected in :attr:`BOEngine.quarantined`.  The pool always
+    uses the thread backend — deadline enforcement requires the driver
+    thread to stay free to abandon a wedged task — which is why
+    supervised runs are not bit-reproducible (docs/ROBUSTNESS.md).
+    """
+
+    _threaded = True
+
+    def __init__(self, engine: BOEngine, evaluate,
+                 guard: MedianGuard | None, space: ConfigSpace,
+                 y: list[float]):
+        super().__init__(engine, evaluate, guard)
+        policy = engine.supervise
+        if not self._capable and policy.speculate:
+            # A twin would run the one shared objective concurrently
+            # with its original; without views that is unsafe.
+            policy = replace(policy, speculate=False)
+        self._supervisor = EvaluationSupervisor(self.pool, policy,
+                                                tracer=self._tracer)
+        self._space = space
+        self._y = y
+        self._record_censored = getattr(evaluate, "record_censored", None)
+        self.blocked: set[bytes] = set()
+
+    def _start(self, idx: int, u: np.ndarray,
+               threshold: float | None) -> None:
+        evaluate, capable = self._evaluate, self._capable
+
+        def factory(v=u, t=threshold):
+            # Called by the supervisor once per physical dispatch, on
+            # this thread: a redispatch or speculative twin gets a fresh
+            # objective view.
+            runner = evaluate.spawn_view() if capable else evaluate
+            return lambda r=runner: r(v, t)
+
+        self._supervisor.submit(factory, tag=idx, key=vector_key(u))
+
+    def _next(self) -> tuple[int, Evaluation]:
+        with self._tracer.timer("async.wait"):
+            outcome = self._supervisor.next_outcome()
+        if isinstance(outcome, Completed):
+            return outcome.tag, outcome.result
+        u = self.pending[outcome.tag][0]
+        ev = self._censor_outcome(u, outcome)
+        if self._record_censored is not None:
+            self._record_censored(ev)
+        if outcome.quarantined:
+            self.blocked.add(vector_key(u))
+            self._engine.quarantined.append(np.asarray(u, dtype=float).copy())
+        return outcome.tag, ev
+
+    def _censor_outcome(self, u: np.ndarray, outcome) -> Evaluation:
+        """Synthesize the censored evaluation for a supervisor verdict.
+
+        The run never returned, so the objective is censored "at least
+        this bad": the objective's own censoring hook at the full cap
+        when it has one, else the cap itself, else the worst observation
+        so far (never ``inf`` — it would wreck GP standardization).  The
+        cap is charged to search cost: that is what a real cluster spent
+        before the watchdog gave up on the evaluation.
+        """
+        conf = self._space.decode(u)
+        limit = getattr(self._evaluate, "time_limit_s", None)
+        censor = getattr(self._evaluate, "censor_value", None)
+        if censor is not None:
+            objective = float(censor(conf, None))
+        elif limit is not None:
+            objective = float(limit)
+        else:
+            objective = float(max(self._y))
+        cost = float(limit) if limit is not None else objective
+        if isinstance(outcome, DeadlineHit):
+            status, fault = RunStatus.TIMEOUT, "deadline"
+        else:
+            status, fault = RunStatus.RUNTIME_ERROR, "worker_death"
+        return Evaluation(vector=np.asarray(u, dtype=float).copy(),
+                          config=conf, objective=objective, cost_s=cost,
+                          status=status, truncated=True, transient=True,
+                          fault=fault)

@@ -39,7 +39,7 @@ from ..obs import JsonlTraceWriter, Tracer, as_tracer
 from .runner import result_payload, run_session
 from .session import SessionCancelled
 from .store import Claim, SessionStore
-from .transport import handle_request, parse_address
+from .transport import _MAX_LINE, handle_request, parse_address
 
 __all__ = ["TuningDaemon"]
 
@@ -261,21 +261,28 @@ class TuningDaemon:
     def _handle_conn(self, conn: socket.socket) -> None:
         conn.settimeout(5.0)
         chunks: list[bytes] = []
+        size = 0
         try:
             while True:
                 chunk = conn.recv(65536)
                 if not chunk:
                     break
                 chunks.append(chunk)
-                if chunk.endswith(b"\n"):
+                size += len(chunk)
+                if chunk.endswith(b"\n") or size > _MAX_LINE:
                     break
             raw = b"".join(chunks)
             if not raw:
                 return
             try:
+                if size > _MAX_LINE:
+                    # The bound the client applies to replies: no peer
+                    # makes the RPC thread buffer an unbounded frame.
+                    raise ValueError(f"frame exceeds {_MAX_LINE} bytes")
                 request = json.loads(raw.decode())
             except (ValueError, RecursionError) as exc:
-                # Undecodable bytes, malformed or too deeply nested JSON.
+                # Oversized frame, undecodable bytes, malformed or too
+                # deeply nested JSON.
                 response = {"ok": False, "error": f"bad request: {exc}"}
             else:
                 response = handle_request(self.store, request)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -52,6 +53,10 @@ from .session import STATES, TERMINAL_STATES, TRANSITIONS, SessionSpec
 __all__ = ["SessionStore", "Claim", "StaleClaimError"]
 
 _INDEX_VERSION = 1
+
+#: The session-id format :meth:`SessionStore.submit` generates: ``s``,
+#: the zero-padded sequence number, ``-``, then 8 random hex digits.
+_SID = re.compile(r"s[0-9]{6,}-[0-9a-f]{8}")
 
 
 class StaleClaimError(RuntimeError):
@@ -111,6 +116,12 @@ class SessionStore:
         return self.root / "sessions"
 
     def session_dir(self, sid: str) -> Path:
+        """A session's directory — the one place a client-supplied sid
+        becomes a path, so anything :meth:`submit` could not have
+        generated (``../x``, empty, not a string) is refused here with
+        ``KeyError`` rather than read or written outside the store."""
+        if not isinstance(sid, str) or _SID.fullmatch(sid) is None:
+            raise KeyError(f"malformed session id {sid!r}")
         return self.sessions_dir / sid
 
     def journal_path(self, sid: str) -> Path:

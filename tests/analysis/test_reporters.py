@@ -34,10 +34,10 @@ def test_json_schema(report):
     assert doc["files_scanned"] == 1
     assert len(doc["rules"]) >= 10
     assert doc["summary"] == {"total": 2, "suppressed": 1, "unsuppressed": 1,
-                              "baselined": 0, "active": 1}
+                              "active": 1}
     for finding in doc["findings"]:
         assert set(finding) == {"rule", "path", "line", "col", "message",
-                                "suppressed", "justification", "baselined"}
+                                "suppressed", "justification"}
         assert isinstance(finding["line"], int) and finding["line"] >= 1
         assert isinstance(finding["col"], int) and finding["col"] >= 1
     unsuppressed = [f for f in doc["findings"] if not f["suppressed"]]

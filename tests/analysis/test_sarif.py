@@ -68,20 +68,5 @@ def test_suppressed_findings_become_notes_with_justification(report):
     assert all(r["level"] == "error" for r in unsuppressed)
 
 
-def test_baselined_findings_carry_external_suppressions(tmp_path):
-    mod = tmp_path / "src" / "repro" / "core" / "fixture_mod.py"
-    mod.parent.mkdir(parents=True)
-    mod.write_text("import numpy as np\nnp.random.seed(1)\n",
-                   encoding="utf-8")
-    from repro.analysis.baseline import write_baseline
-    first = analyze_paths([tmp_path / "src"])
-    snapshot = tmp_path / "baseline.json"
-    write_baseline(first.findings, snapshot)
-    second = analyze_paths([tmp_path / "src"], baseline=snapshot)
-    results = json.loads(render_sarif(second))["runs"][0]["results"]
-    kinds = [s["kind"] for r in results for s in r.get("suppressions", ())]
-    assert kinds == ["external"]
-
-
 def test_sarif_is_deterministic(report):
     assert render_sarif(report) == render_sarif(report)

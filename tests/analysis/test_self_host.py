@@ -7,9 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import all_rule_ids, analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+# A cold lint of the tree costs seconds; the in-process tests share one
+# report per scanned set instead of re-linting it each.
+@pytest.fixture(scope="module")
+def src_report():
+    return analyze_paths([REPO_ROOT / "src"])
+
+
+@pytest.fixture(scope="module")
+def src_and_benchmarks_report():
+    return analyze_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
 
 
 def _env() -> dict[str, str]:
@@ -29,28 +43,28 @@ def test_whole_program_rule_family_registered():
     assert len(ids) >= 21
 
 
-def test_src_is_clean_in_process():
-    report = analyze_paths([REPO_ROOT / "src"])
+def test_src_is_clean_in_process(src_report):
+    report = src_report
     assert report.exit_code == 0, [f.location() + " " + f.message
                                    for f in report.unsuppressed]
     assert report.files_scanned > 50
 
 
-def test_benchmarks_are_clean_in_process():
-    report = analyze_paths([REPO_ROOT / "benchmarks"])
+def test_benchmarks_are_clean_in_process(src_and_benchmarks_report):
+    report = src_and_benchmarks_report
     assert report.exit_code == 0, [f.location() + " " + f.message
                                    for f in report.unsuppressed]
 
 
-def test_every_suppression_carries_a_written_justification():
-    report = analyze_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
-    for finding in report.suppressed:
+def test_every_suppression_carries_a_written_justification(
+        src_and_benchmarks_report):
+    for finding in src_and_benchmarks_report.suppressed:
         assert finding.justification, finding.location()
         assert len(finding.justification.split()) >= 3, finding.location()
 
 
-def test_cached_parallel_rerun_matches_serial_run(tmp_path):
-    serial = analyze_paths([REPO_ROOT / "src"])
+def test_cached_parallel_rerun_matches_serial_run(tmp_path, src_report):
+    serial = src_report
     cache = tmp_path / "cache"
     analyze_paths([REPO_ROOT / "src"], cache_dir=cache, n_jobs=2)
     warm = analyze_paths([REPO_ROOT / "src"], cache_dir=cache, n_jobs=2)

@@ -194,3 +194,59 @@ class TestRpcBoundary:
         transport = SocketTransport("auto", store_root=store.root)
         assert transport.ping()
         assert transport.list_sessions() == []
+
+    @staticmethod
+    def files_outside_sessions(root) -> set:
+        sessions = root / "store" / "sessions"
+        return {p for p in root.rglob("*")
+                if p.is_file() and sessions not in p.parents}
+
+    @pytest.mark.parametrize("op", ["status", "results", "cancel"])
+    @pytest.mark.parametrize("sid", ["../x", "s000001-../../y", "", 5],
+                             ids=["parent", "embedded-parent", "empty",
+                                  "number"])
+    def test_sid_cannot_escape_the_store(self, live_daemon, tmp_path, op,
+                                         sid):
+        store = live_daemon
+        # A decoy session outside the sessions directory: an unvalidated
+        # "../x" would read its state and (for cancel) write next to it.
+        (tmp_path / "store" / "sessions").mkdir(parents=True, exist_ok=True)
+        decoy = tmp_path / "store" / "x"
+        decoy.mkdir()
+        (decoy / "state.json").write_text(
+            json.dumps({"state": "PENDING", "seq": 0}))
+        (decoy / "spec.json").write_text(json.dumps(SPEC.to_dict()))
+        before = self.files_outside_sessions(tmp_path)
+        frame = json.dumps({"op": op, "sid": sid}).encode() + b"\n"
+        response = self.send_raw(store, frame)
+        assert response["ok"] is False
+        assert self.files_outside_sessions(tmp_path) == before
+        assert SocketTransport("auto", store_root=store.root).ping()
+
+    def test_oversized_frame_answers_and_rpc_survives(self, live_daemon):
+        store = live_daemon
+        family, endpoint = parse_address(store.daemon_info()["address"])
+        sock = socket.create_connection(endpoint, timeout=10)
+
+        def flood():
+            # The daemon stops reading past its bound, so this send may
+            # be cut off; only the reply matters.
+            try:
+                sock.sendall(b"x" * (2 << 20))
+            except OSError:
+                pass
+
+        sender = threading.Thread(target=flood, daemon=True)
+        with sock:
+            sender.start()
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+            sender.join(timeout=10)
+        response = json.loads(reply.decode())
+        assert response["ok"] is False
+        assert response["error"].startswith("bad request: frame exceeds")
+        assert SocketTransport("auto", store_root=store.root).ping()
