@@ -1,6 +1,6 @@
 """Hot-path perf-regression smoke benchmark.
 
-Times the optimized compute kernels (vectorized forest training, batched
+Times the optimized compute kernels (lockstep forest training, batched
 permutation importance, incremental GP updates, one BO iteration, a small
 end-to-end tune) and appends the wall-clock numbers to
 ``BENCH_hotpaths.json`` at the repo root, so successive commits leave a
@@ -79,20 +79,37 @@ def test_forest_fit_wall_time(capsys):
     assert wall > 0
 
 
+def test_forest_fit_paper_shape_wall_time(capsys):
+    # The paper's selection forest: 150 trees on 100 LHS samples of the
+    # 44-parameter Spark space.
+    rng = np.random.default_rng(0)
+    X = rng.random((100, 44))
+    y = 3 * X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, 100)
+    wall = _time(lambda: RandomForestRegressor(150, rng=1).fit(X, y))
+    _record("forest_fit_150x100x44", wall, n=100)
+    with capsys.disabled():
+        print(f"forest fit (150 trees, 100x44): {wall:.3f}s")
+    assert wall > 0
+
+
 def test_split_search_batched_vs_scalar(capsys):
-    from repro.ml.tree import DecisionTreeRegressor
-    # Node-sized matrices: most split searches in a fitted tree happen on
-    # a few dozen rows, where per-column call overhead dominates.
+    from repro.ml.tree import _best_threshold, _pad_rows, _split_search
+    # Node-sized row sets: most split searches in a fitted forest happen
+    # on a few dozen rows, where per-column call overhead dominates.
     rng = np.random.default_rng(7)
-    nodes = [rng.random((int(n), 12)) for n in rng.integers(8, 80, 60)]
-    ys = [3 * M[:, 0] + rng.normal(0, 0.2, M.shape[0]) for M in nodes]
-    sses = [float(np.sum((y - y.mean()) ** 2)) for y in ys]
-    tree = DecisionTreeRegressor()
-    batched = _time(lambda: [tree._best_thresholds_batch(M, y, s)
-                             for M, y, s in zip(nodes, ys, sses)], repeats=5)
-    scalar = _time(lambda: [[tree._best_threshold(M[:, j], y, s)
-                             for j in range(M.shape[1])]
-                            for M, y, s in zip(nodes, ys, sses)], repeats=5)
+    X = rng.random((80, 12))
+    y = 3 * X[:, 0] + rng.normal(0, 0.2, 80)
+    row_lists = [rng.integers(0, 80, int(n)) for n in rng.integers(8, 80, 60)]
+    n = np.array([rows.size for rows in row_lists])
+    R = _pad_rows(row_lists, n)
+    sses = np.array([float(np.sum((y[rows] - y[rows].mean()) ** 2))
+                     for rows in row_lists])
+    perms = np.tile(np.arange(12), (60, 1))
+    batched = _time(lambda: _split_search(X, y, R, n, perms, sses, 12, 1),
+                    repeats=5)
+    scalar = _time(lambda: [[_best_threshold(X[rows, j], y[rows], s, 1)
+                             for j in range(12)]
+                            for rows, s in zip(row_lists, sses)], repeats=5)
     _record("split_search_batched_60nodes_x12", batched, n=60)
     _record("split_search_scalar_60nodes_x12", scalar, n=60)
     with capsys.disabled():

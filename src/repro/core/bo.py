@@ -501,9 +501,10 @@ class BOEngine:
                 gp = self._fit_gp(np.vstack(run.X), y_arr, None)
                 mean = float(y_arr.mean())
                 std = _safe_std(y_arr)
-                for choice in choices:
-                    mu = gp.predict(choice.nominees)
-                    self.hedge.update(-(mu - mean) / std)
+                with self._tracer.timer("bo.hedge"):
+                    for choice in choices:
+                        mu = gp.predict(choice.nominees)
+                        self.hedge.update(-(mu - mean) / std)
             except np.linalg.LinAlgError:
                 self.fallbacks += 1
 
@@ -721,14 +722,16 @@ class BOEngine:
         is skipped for these proposals.
         """
         dim = space.dim
-        cands = latin_hypercube(self.n_candidates, dim, self._rng)
-        # Exploitation candidates: jitter around the best observed points.
-        X_obs = gp.X_train_
-        order = np.argsort(y)[: max(3, dim)]
-        local = X_obs[order] + self._rng.normal(0.0, 0.05,
-                                                size=(len(order), dim))
-        U = np.clip(np.vstack([cands, local]), 0.0, 1.0)
-        mu, sigma, f_best = self._standardized(gp, y, U)
+        with self._tracer.timer("bo.acq_sweep"):
+            cands = latin_hypercube(self.n_candidates, dim, self._rng)
+            # Exploitation candidates: jitter around the best observed
+            # points.
+            X_obs = gp.X_train_
+            order = np.argsort(y)[: max(3, dim)]
+            local = X_obs[order] + self._rng.normal(0.0, 0.05,
+                                                    size=(len(order), dim))
+            U = np.clip(np.vstack([cands, local]), 0.0, 1.0)
+            mu, sigma, f_best = self._standardized(gp, y, U)
 
         mean = float(y.mean())
         std = _safe_std(y)
@@ -773,9 +776,10 @@ class BOEngine:
             sigma_n = float(s[0]) / std
             return -float(acq(np.array([mu_n]), np.array([sigma_n]), f_best)[0])
 
-        res = minimize(neg_util, start, method="L-BFGS-B",
-                       bounds=[(0.0, 1.0)] * len(start),
-                       options={"maxiter": 25})
+        with self._tracer.timer("bo.refine"):
+            res = minimize(neg_util, start, method="L-BFGS-B",
+                           bounds=[(0.0, 1.0)] * len(start),
+                           options={"maxiter": 25})
         return np.clip(res.x, 0.0, 1.0) if res.fun <= -start_util else start
 
     def _refine_gradient(self, acq, gp,
@@ -803,13 +807,14 @@ class BOEngine:
         bounds = [(0.0, 1.0)] * starts.shape[1]
         best_u = starts[0]
         best_fun = -float(start_utils[0])
-        for s in starts:
-            res = minimize(neg_util_and_grad, s, jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 25})
-            if res.fun < best_fun:
-                best_fun = float(res.fun)
-                best_u = np.clip(res.x, 0.0, 1.0)
+        with self._tracer.timer("bo.refine"):
+            for s in starts:
+                res = minimize(neg_util_and_grad, s, jac=True,
+                               method="L-BFGS-B", bounds=bounds,
+                               options={"maxiter": 25})
+                if res.fun < best_fun:
+                    best_fun = float(res.fun)
+                    best_u = np.clip(res.x, 0.0, 1.0)
         return best_u
 
 

@@ -14,7 +14,7 @@ from ..obs import as_tracer
 from ..utils.parallel import parallel_map, resolve_n_jobs
 from ..utils.rng import as_generator, spawn
 from .metrics import r2_score
-from .tree import _LEAF, DecisionTreeRegressor
+from .tree import _LEAF, DecisionTreeRegressor, _grow_best
 
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
@@ -24,25 +24,40 @@ __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 _MAX_ENTRIES = 1 << 13
 
 
-def _fit_tree_job(task) -> tuple[DecisionTreeRegressor, np.ndarray | None]:
-    """Fit one tree of the ensemble (module-level for process pools).
+def _fit_trees_job(task) -> tuple[list[tuple[DecisionTreeRegressor,
+                                              np.ndarray | None]], int]:
+    """Fit a contiguous chunk of the ensemble's trees (module-level for
+    process pools).
 
-    Each task carries its own child generator, so the fitted tree — and
-    the bootstrap/OOB split drawn from that generator — is identical
-    whether tasks run serially, on threads, or across processes.
+    Each tree carries its own child generator, which draws the tree's
+    bootstrap/OOB split and then its splits, so the fitted trees are
+    identical whether chunks run serially, on threads, or across
+    processes, and however the trees are chunked.  ``"best"`` trees grow
+    together in lockstep (:func:`repro.ml.tree._grow_best`); returns the
+    fitted ``(tree, oob)`` pairs and the number of lockstep steps.
     """
-    X, y, params, splitter, crng, bootstrap = task
+    X, y, params, splitter, child_rngs, bootstrap = task
     n = X.shape[0]
-    if bootstrap:
-        idx = crng.integers(0, n, size=n)
-        oob = np.ones(n, dtype=bool)
-        oob[idx] = False
+    trees, roots, oobs = [], [], []
+    for crng in child_rngs:
+        if bootstrap:
+            idx = crng.integers(0, n, size=n)
+            oob = np.ones(n, dtype=bool)
+            oob[idx] = False
+        else:
+            idx = np.arange(n)
+            oob = None
+        trees.append(DecisionTreeRegressor(splitter=splitter, rng=crng,
+                                           **params))
+        roots.append(idx)
+        oobs.append(oob)
+    steps = 0
+    if splitter == "best":
+        steps = _grow_best(trees, X, y, roots)
     else:
-        idx = np.arange(n)
-        oob = None
-    tree = DecisionTreeRegressor(splitter=splitter, rng=crng, **params)
-    tree.fit(X[idx], y[idx])
-    return tree, oob
+        for tree, idx in zip(trees, roots):
+            tree.fit(X[idx], y[idx])
+    return list(zip(trees, oobs)), steps
 
 
 class _BaseForestRegressor:
@@ -96,17 +111,24 @@ class _BaseForestRegressor:
                       min_samples_split=self.min_samples_split,
                       min_samples_leaf=self.min_samples_leaf,
                       max_features=self.max_features)
-        tasks = [(X, y, params, self._splitter, crng, self.bootstrap)
-                 for crng in child_rngs]
+        # One contiguous chunk of trees per worker: each chunk grows in
+        # lockstep, and a serial fit is a single chunk.
+        n_jobs = resolve_n_jobs(self.n_jobs)
+        bounds = np.linspace(0, self.n_estimators,
+                             min(n_jobs, self.n_estimators) + 1).astype(int)
+        tasks = [(X, y, params, self._splitter, child_rngs[lo:hi],
+                  self.bootstrap) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with self.tracer.timer("forest.fit"):
-            fitted = parallel_map(_fit_tree_job, tasks,
-                                  n_jobs=resolve_n_jobs(self.n_jobs),
+            chunks = parallel_map(_fit_trees_job, tasks, n_jobs=n_jobs,
                                   backend=self.parallel_backend,
                                   tracer=self.tracer)
-        self.tracer.emit("forest.fit", {"trees": int(self.n_estimators),
-                                        "n": int(n),
-                                        "features": int(X.shape[1])})
+        fitted = [pair for pairs, _ in chunks for pair in pairs]
         self.trees_ = [tree for tree, _ in fitted]
+        self.tracer.emit("forest.fit", {
+            "trees": int(self.n_estimators), "n": int(n),
+            "features": int(X.shape[1]),
+            "steps": int(sum(steps for _, steps in chunks)),
+            "nodes": int(sum(tree.node_count for tree in self.trees_))})
         # oob_mask_[t, i] is True when sample i is out-of-bag for tree t.
         self.oob_mask_ = np.zeros((self.n_estimators, n), dtype=bool)
         for t, (_, oob) in enumerate(fitted):

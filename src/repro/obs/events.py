@@ -118,6 +118,10 @@ COUNTERS: dict[str, str] = {
 #: The timer catalog: every name passed to ``tracer.timer`` (RPX003).
 TIMERS: dict[str, str] = {
     "gp.fit": "GP surrogate (re)fits",
+    "bo.acq_sweep": "acquisition candidate sweeps (LHS draw + surrogate "
+                    "prediction)",
+    "bo.refine": "L-BFGS-B refinements of sweep winners",
+    "bo.hedge": "GP-Hedge gain scoring and weight updates",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
     "parallel.map": "parallel_map batch dispatches",

@@ -43,6 +43,18 @@ from .transport import _MAX_LINE, handle_request, parse_address
 
 __all__ = ["TuningDaemon"]
 
+#: Seconds a peer has to deliver one whole request frame.
+_FRAME_TIMEOUT_S = 5.0
+
+
+def _cut(conn: socket.socket, expired: threading.Event) -> None:
+    """Frame watchdog: mark the exchange expired and end the blocked read."""
+    expired.set()
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the exchange already ended
+
 
 class TuningDaemon:
     """Schedule and execute stored tuning sessions until told to stop.
@@ -259,20 +271,30 @@ class TuningDaemon:
                 conn.close()
 
     def _handle_conn(self, conn: socket.socket) -> None:
-        conn.settimeout(5.0)
+        # One deadline for the whole frame.  The socket timeout restarts
+        # on every chunk, so a peer trickling a byte at a time would hold
+        # this (single) RPC thread forever; the watchdog cuts it off.
+        conn.settimeout(_FRAME_TIMEOUT_S)
+        expired = threading.Event()
+        watchdog = threading.Timer(_FRAME_TIMEOUT_S, _cut, (conn, expired))
+        watchdog.daemon = True
+        watchdog.start()
         chunks: list[bytes] = []
         size = 0
         try:
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                size += len(chunk)
-                if chunk.endswith(b"\n") or size > _MAX_LINE:
-                    break
+            try:
+                while True:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+                    size += len(chunk)
+                    if chunk.endswith(b"\n") or size > _MAX_LINE:
+                        break
+            finally:
+                watchdog.cancel()
             raw = b"".join(chunks)
-            if not raw:
+            if not raw or expired.is_set():
                 return
             try:
                 if size > _MAX_LINE:

@@ -102,3 +102,17 @@ def test_timing_fields_do_vary_between_runs():
     t_a = [r["t"] for r in sink_a.records if r.get("kind") == "event"]
     t_b = [r["t"] for r in sink_b.records if r.get("kind") == "event"]
     assert t_a != t_b
+
+
+def test_bo_layers_and_forest_growth_are_traced():
+    """The BO layer timers accumulate and ``forest.fit`` reports its
+    lockstep growth, without adding events."""
+    _, sink = run("ROBOTune")
+    metrics = sink.records[-1]
+    for name in ("bo.acq_sweep", "bo.refine", "bo.hedge"):
+        assert metrics["timers"][name]["count"] > 0
+    fits = [r["data"] for r in sink.records
+            if r.get("kind") == "event" and r["type"] == "forest.fit"]
+    assert fits
+    for data in fits:
+        assert 0 < data["steps"] < data["nodes"]

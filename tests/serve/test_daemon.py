@@ -195,6 +195,36 @@ class TestRpcBoundary:
         assert transport.ping()
         assert transport.list_sessions() == []
 
+    def test_trickling_client_is_cut_off_at_the_frame_deadline(
+            self, live_daemon):
+        """A peer sending one byte per second never completes a frame;
+        the whole frame gets one deadline, so the RPC thread drops it
+        and answers the next client."""
+        store = live_daemon
+        family, endpoint = parse_address(store.daemon_info()["address"])
+        assert family == "tcp"
+        sock = socket.create_connection(endpoint, timeout=10)
+        cut_after = None
+        with sock:
+            for sent, byte in enumerate(b'{"op": "ping"' * 2):
+                try:
+                    sock.sendall(bytes([byte]))
+                    time.sleep(1.0)
+                    sock.settimeout(0.0)
+                    if sock.recv(1) == b"":
+                        cut_after = sent + 1
+                        break
+                except BlockingIOError:
+                    pass  # nothing to read yet: the frame is still open
+                except OSError:
+                    cut_after = sent + 1
+                    break
+        # Cut within a second or two of the 5 s frame deadline.
+        assert cut_after is not None and cut_after <= 8
+        transport = SocketTransport("auto", store_root=store.root,
+                                    timeout_s=3.0)
+        assert transport.ping()
+
     @staticmethod
     def files_outside_sessions(root) -> set:
         sessions = root / "store" / "sessions"
