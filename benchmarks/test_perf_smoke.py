@@ -324,41 +324,6 @@ def test_async_bo_throughput_scaling(capsys):
     assert walls[4] <= serial / 2.0   # the throughput gate (measured ~3x)
 
 
-def test_sparksim_run_batch_vs_scalar_loop(capsys):
-    """Vectorized batch simulation vs the scalar run() loop, 64 configs.
-
-    ``run_batch`` shares the stage arithmetic across the whole batch in
-    NumPy; the contract is bit-identity (tests/sparksim/test_batch_parity
-    .py), this benchmark records what that sharing buys.
-    """
-    from repro.sparksim import SparkSimulator
-    from repro.utils.rng import spawn
-
-    space = spark_space()
-    sim = SparkSimulator()
-    stages = get_workload("terasort", "D1").build_stages()
-    rng = np.random.default_rng(26)
-    confs = [space.decode(rng.random(space.dim)) for _ in range(64)]
-
-    def scalar():
-        rngs = spawn(np.random.default_rng(27), len(confs))
-        return [sim.run(stages, c, rng=r, time_limit_s=480.0)
-                for c, r in zip(confs, rngs)]
-
-    def batch():
-        rngs = spawn(np.random.default_rng(27), len(confs))
-        return sim.run_batch(stages, confs, rngs=rngs, time_limit_s=480.0)
-
-    s = _time(scalar, repeats=3)
-    b = _time(batch, repeats=3)
-    _record_bo("sparksim_scalar_loop_64cfg_terasort", s, n=64)
-    _record_bo("sparksim_run_batch_64cfg_terasort", b, n=64, speedup=s / b)
-    with capsys.disabled():
-        print(f"sparksim 64 configs (terasort/D1): scalar {s * 1e3:.1f}ms "
-              f"vs run_batch {b * 1e3:.1f}ms ({s / b:.1f}x)")
-    assert b <= s * 1.2  # batch path must never be slower (slack for noise)
-
-
 def test_gp_lowrank_scaling_vs_exact(capsys):
     """Exact vs low-rank (Nyström/SoR) GP across training-set sizes.
 

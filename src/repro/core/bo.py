@@ -565,8 +565,8 @@ class BOEngine:
         ``evaluate_batch`` (a class-level method contracted to return the
         same evaluations the spawned-view path would, bit-for-bit — see
         :meth:`repro.tuners.objective.WorkloadObjective.evaluate_batch`)
-        take the vectorized fast path instead.  Capabilities are looked
-        up on the objective's *class*: delegating wrappers (journal,
+        get the whole round in one call instead.  Capabilities are
+        looked up on the objective's *class*: delegating wrappers (journal,
         fault injector) forward unknown attributes via ``__getattr__``,
         and borrowing the inner objective's views would silently skip
         their per-evaluation bookkeeping.  Anything with neither
@@ -888,8 +888,9 @@ class _InlineDispatch(_Dispatch):
 
     def collect(self, fold: Callable[[list], None]) -> None:
         threshold = self._threshold()
-        batch = self._engine._evaluate_batch(self._evaluate, self.points(),
-                                             threshold)
+        with self._tracer.timer("bo.evaluate"):
+            batch = self._engine._evaluate_batch(self._evaluate,
+                                                 self.points(), threshold)
         done = [(u, choice, threshold, ev)
                 for (u, choice), ev in zip(self.pending.values(), batch)]
         self.pending.clear()

@@ -122,6 +122,8 @@ TIMERS: dict[str, str] = {
                     "prediction)",
     "bo.refine": "L-BFGS-B refinements of sweep winners",
     "bo.hedge": "GP-Hedge gain scoring and weight updates",
+    "bo.evaluate": "objective evaluations of inline (serial and "
+                   "constant-liar) BO rounds",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
     "parallel.map": "parallel_map batch dispatches",

@@ -27,6 +27,7 @@ session directory: the service's metrics feed is the trace stream.
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import os
 import socket
@@ -54,6 +55,17 @@ def _cut(conn: socket.socket, expired: threading.Event) -> None:
         conn.shutdown(socket.SHUT_RDWR)
     except OSError:
         pass  # the exchange already ended
+
+
+def _is_local(peer: object) -> bool:
+    """Whether an ``accept()`` peer address is a unix-socket or loopback
+    TCP peer: the only peers allowed to shut the daemon down."""
+    if not isinstance(peer, tuple):
+        return True  # unix socket: access is the socket file's permissions
+    try:
+        return ipaddress.ip_address(peer[0]).is_loopback
+    except ValueError:
+        return False
 
 
 class TuningDaemon:
@@ -260,17 +272,17 @@ class TuningDaemon:
         assert self._server_sock is not None
         while not self._stop.is_set():
             try:
-                conn, _ = self._server_sock.accept()
+                conn, peer = self._server_sock.accept()
             except TimeoutError:
                 continue
             except OSError:
                 return  # socket closed during shutdown
             try:
-                self._handle_conn(conn)
+                self._handle_conn(conn, peer)
             finally:
                 conn.close()
 
-    def _handle_conn(self, conn: socket.socket) -> None:
+    def _handle_conn(self, conn: socket.socket, peer: object) -> None:
         # One deadline for the whole frame.  The socket timeout restarts
         # on every chunk, so a peer trickling a byte at a time would hold
         # this (single) RPC thread forever; the watchdog cuts it off.
@@ -307,12 +319,23 @@ class TuningDaemon:
                 # deeply nested JSON.
                 response = {"ok": False, "error": f"bad request: {exc}"}
             else:
-                response = handle_request(self.store, request)
-                if response["ok"] and request.get("op") == "shutdown":
-                    self._stop.set()
+                response = self._answer(request, peer)
             conn.sendall(json.dumps(response).encode() + b"\n")
         except OSError:
             return  # client went away mid-exchange; nothing to settle
+
+    def _answer(self, request: object, peer: object) -> dict:
+        """Serve one decoded request; only a local peer may shut down."""
+        shutdown = isinstance(request, dict) \
+            and request.get("op") == "shutdown"
+        if shutdown and not _is_local(peer):
+            return {"ok": False,
+                    "error": f"shutdown refused: peer {peer!r} is neither "
+                             "loopback nor a unix socket"}
+        response = handle_request(self.store, request)
+        if shutdown and response["ok"]:
+            self._stop.set()
+        return response
 
     def _close_rpc_server(self) -> None:
         if self._server_sock is not None:

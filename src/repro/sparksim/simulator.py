@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..utils.rng import as_generator
+from ..utils.rng import as_generator, spawn
 from .cluster import ClusterSpec, paper_cluster
 from .conf import SparkConf
 from .disk import effective_disk_bw
@@ -118,9 +118,40 @@ class SparkSimulator:
             conf = SparkConf(conf)
         if not stages:
             raise ValueError("workload has no stages")
-        rng = as_generator(rng)
-        node = self.cluster.node
+        return self._simulate(stages, conf, as_generator(rng), time_limit_s)
 
+    def run_batch(self, stages: Sequence[StageSpec],
+                  confs: Sequence[SparkConf | Mapping[str, object]],
+                  rngs=None,
+                  time_limit_s: float | None = None) -> list[ExecutionResult]:
+        """Simulate many configurations, one after another.
+
+        Equal to calling :meth:`run` once per configuration with the
+        matching generator from *rngs*: a sequence of per-configuration
+        generators/seeds, or a single seed/generator/None split via
+        :func:`repro.utils.rng.spawn`.  A plain loop, because at the batch
+        sizes BO sends (q=4) it is faster than vectorizing the stage
+        arithmetic across configurations (docs/PERFORMANCE.md).
+        """
+        if not stages:
+            raise ValueError("workload has no stages")
+        confs = [c if isinstance(c, SparkConf) else SparkConf(c)
+                 for c in confs]
+        if rngs is None or isinstance(rngs, (int, np.random.Generator)):
+            rngs = spawn(rngs, len(confs))
+        else:
+            rngs = [as_generator(r) for r in rngs]
+            if len(rngs) != len(confs):
+                raise ValueError(f"got {len(rngs)} generators for "
+                                 f"{len(confs)} configurations")
+        return [self._simulate(stages, conf, rng, time_limit_s)
+                for conf, rng in zip(confs, rngs)]
+
+    # -- application simulation -----------------------------------------------------
+    def _simulate(self, stages: Sequence[StageSpec], conf: SparkConf,
+                  rng: np.random.Generator,
+                  time_limit_s: float | None) -> ExecutionResult:
+        """One application execution; arguments already normalized."""
         placement = place_executors(conf, self.cluster)
         if not placement.viable:
             return ExecutionResult(RunStatus.INVALID, 8.0,
@@ -154,24 +185,6 @@ class SparkSimulator:
                                        failure_reason="execution cap reached")
 
         return ExecutionResult(RunStatus.SUCCESS, float(t), tuple(metrics))
-
-    def run_batch(self, stages: Sequence[StageSpec],
-                  confs: Sequence[SparkConf | Mapping[str, object]],
-                  rngs=None,
-                  time_limit_s: float | None = None) -> list[ExecutionResult]:
-        """Simulate many configurations in one vectorized pass.
-
-        Bit-identical to calling :meth:`run` once per configuration with
-        the matching generator from *rngs* (a sequence of per-config
-        generators/seeds, or a single seed/generator/None split via
-        :func:`repro.utils.rng.spawn`) — property-tested in
-        ``tests/sparksim/test_batch_parity.py``.  The per-stage task
-        arithmetic runs as ``(B,)`` NumPy expressions across all still-
-        running configurations; see :mod:`repro.sparksim.batch`.
-        """
-        from .batch import run_batch as _run_batch
-        return _run_batch(self, stages, confs, rngs=rngs,
-                          time_limit_s=time_limit_s)
 
     # -- stage simulation -----------------------------------------------------------
     def _run_stage(self, spec: StageSpec, conf: SparkConf,

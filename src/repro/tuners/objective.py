@@ -31,7 +31,7 @@ import numpy as np
 
 from ..space.space import ConfigSpace
 from ..sparksim.cluster import ClusterSpec
-from ..sparksim.result import RunStatus
+from ..sparksim.result import ExecutionResult, RunStatus
 from ..sparksim.simulator import SparkSimulator
 from ..utils.rng import as_generator, spawn
 from ..workloads.base import Workload
@@ -183,14 +183,52 @@ class WorkloadObjective:
         run — the hook used by guard mechanisms that kill configurations
         running past a multiple of the median.
         """
-        limit = self._time_limit_s
-        if time_limit_s is not None:
-            limit = min(limit, float(time_limit_s))
-        conf = self._space.decode(np.asarray(u, dtype=float))
+        limit = self._limit(time_limit_s)
+        u = np.asarray(u, dtype=float)
+        conf = self._space.decode(u)
         result = self.simulator.run(self._stages, conf, rng=self._rng,
                                     time_limit_s=limit)
         with self._lock:
             self._counter["n"] += 1
+        return self._evaluation(u, conf, result, limit)
+
+    def evaluate_batch(self, U: "list[np.ndarray]",
+                       time_limit_s: float | None = None) -> list[Evaluation]:
+        """Evaluate many vectors through one simulator call.
+
+        Equal to spawning one view per vector and calling each —
+        ``[self.spawn_view()(u, time_limit_s) for u in U]`` — which is the
+        class-level capability contract ``BOEngine._evaluate_batch``
+        relies on: the child generators are split off serially exactly as
+        :meth:`spawn_view` would, then the whole batch runs through
+        :meth:`SparkSimulator.run_batch`.
+
+        Defined on :class:`WorkloadObjective` only.  A subclass that
+        overrides ``__call__`` inherits this method with the *base*
+        evaluation semantics, silently diverging from its own scalar
+        path; such subclasses must override ``evaluate_batch`` too (or
+        set it to ``None`` to fall back to per-point evaluation).
+        """
+        limit = self._limit(time_limit_s)
+        vectors = [np.asarray(u, dtype=float) for u in U]
+        confs = [self._space.decode(u) for u in vectors]
+        rngs = spawn(self._rng, len(vectors))
+        results = self.simulator.run_batch(self._stages, confs, rngs=rngs,
+                                           time_limit_s=limit)
+        with self._lock:
+            self._counter["n"] += len(vectors)
+        return [self._evaluation(u, conf, result, limit)
+                for u, conf, result in zip(vectors, confs, results)]
+
+    def _limit(self, time_limit_s: float | None) -> float:
+        """The cap for one call: the evaluation cap, tightened if asked."""
+        if time_limit_s is None:
+            return self._time_limit_s
+        return min(self._time_limit_s, float(time_limit_s))
+
+    def _evaluation(self, u: np.ndarray, conf: Mapping[str, Any],
+                    result: ExecutionResult, limit: float) -> Evaluation:
+        """Censor one run's outcome into an :class:`Evaluation`."""
         truncated = result.status is RunStatus.TIMEOUT
         if result.ok:
             objective = self._metric(result.duration_s, conf)
@@ -205,56 +243,10 @@ class WorkloadObjective:
             # surfaced.
             objective = self._metric(self._time_limit_s, conf)
         return Evaluation(
-            vector=np.asarray(u, dtype=float).copy(),
+            vector=u.copy(),
             config=conf,
             objective=float(objective),
             cost_s=float(result.duration_s),
             status=result.status,
             truncated=truncated,
         )
-
-    def evaluate_batch(self, U: "list[np.ndarray]",
-                       time_limit_s: float | None = None) -> list[Evaluation]:
-        """Evaluate many vectors through one vectorized simulator pass.
-
-        Bit-identical to spawning one view per vector and calling each —
-        ``[self.spawn_view()(u, time_limit_s) for u in U]`` — which is the
-        class-level capability contract ``BOEngine._evaluate_batch``
-        relies on: the child generators are split off serially exactly as
-        :meth:`spawn_view` would, then the whole batch runs through
-        :meth:`SparkSimulator.run_batch`.
-
-        Defined on :class:`WorkloadObjective` only.  A subclass that
-        overrides ``__call__`` inherits this method with the *base*
-        evaluation semantics, silently diverging from its own scalar
-        path; such subclasses must override ``evaluate_batch`` too (or
-        set it to ``None`` to fall back to per-point evaluation).
-        """
-        limit = self._time_limit_s
-        if time_limit_s is not None:
-            limit = min(limit, float(time_limit_s))
-        vectors = [np.asarray(u, dtype=float) for u in U]
-        confs = [self._space.decode(u) for u in vectors]
-        rngs = spawn(self._rng, len(vectors))
-        results = self.simulator.run_batch(self._stages, confs, rngs=rngs,
-                                           time_limit_s=limit)
-        with self._lock:
-            self._counter["n"] += len(vectors)
-        evals = []
-        for u, conf, result in zip(vectors, confs, results):
-            truncated = result.status is RunStatus.TIMEOUT
-            if result.ok:
-                objective = self._metric(result.duration_s, conf)
-            elif truncated:
-                objective = self._metric(limit, conf)
-            else:
-                objective = self._metric(self._time_limit_s, conf)
-            evals.append(Evaluation(
-                vector=u.copy(),
-                config=conf,
-                objective=float(objective),
-                cost_s=float(result.duration_s),
-                status=result.status,
-                truncated=truncated,
-            ))
-        return evals

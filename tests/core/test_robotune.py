@@ -144,8 +144,12 @@ class TestSupervision:
 
     def test_supervised_session_completes(self):
         from repro.supervise import SupervisePolicy
+        # Evaluations take microseconds, so an adaptive deadline (a
+        # multiple of their p95) could censor a healthy one; only the
+        # hard cap stays on.
         tuner = make_tuner(seed=21, async_workers=2, init_samples=6,
-                           supervise=SupervisePolicy(eval_timeout_s=30.0))
+                           supervise=SupervisePolicy(eval_timeout_s=30.0,
+                                                     min_completions=10**6))
         result = tuner.tune(make_objective(seed=22), budget=14, rng=23)
         assert result.n_evaluations == 14
         assert result.quarantined_configs == []
@@ -173,11 +177,14 @@ class TestSupervision:
         objective = HangInjector(make_objective(seed=24, dim=full_dim),
                                  HangPlan(0.0), poison=poison,
                                  poison_kind="worker_death")
+        # No adaptive deadline (see above): with quarantine_after=1 a
+        # censored healthy evaluation would quarantine a second config.
         tuner = make_tuner(memo=memo, seed=25, init_samples=6,
                            async_workers=1,
                            supervise=SupervisePolicy(eval_timeout_s=30.0,
                                                      quarantine_after=1,
-                                                     max_redispatch=0))
+                                                     max_redispatch=0,
+                                                     min_completions=10**6))
         result = tuner.tune(objective, budget=12, rng=26)
         assert result.n_evaluations == 12
         assert len(result.quarantined_configs) == 1

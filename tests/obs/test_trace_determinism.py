@@ -109,7 +109,7 @@ def test_bo_layers_and_forest_growth_are_traced():
     lockstep growth, without adding events."""
     _, sink = run("ROBOTune")
     metrics = sink.records[-1]
-    for name in ("bo.acq_sweep", "bo.refine", "bo.hedge"):
+    for name in ("bo.acq_sweep", "bo.refine", "bo.hedge", "bo.evaluate"):
         assert metrics["timers"][name]["count"] > 0
     fits = [r["data"] for r in sink.records
             if r.get("kind") == "event" and r["type"] == "forest.fit"]

@@ -280,3 +280,38 @@ class TestRpcBoundary:
         assert response["ok"] is False
         assert response["error"].startswith("bad request: frame exceeds")
         assert SocketTransport("auto", store_root=store.root).ping()
+
+    @staticmethod
+    def exchange(daemon, peer, request: dict) -> dict:
+        """One RPC exchange over a socket pair, with *peer* standing in
+        for the address ``accept()`` would report."""
+        client, server = socket.socketpair()
+        with client, server:
+            client.sendall(json.dumps(request).encode() + b"\n")
+            daemon._handle_conn(server, peer)
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = client.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        return json.loads(reply.decode())
+
+    def test_shutdown_refused_from_a_remote_tcp_peer(self, tmp_path):
+        daemon = TuningDaemon(SessionStore(tmp_path / "store", fsync=False),
+                              session_traces=False)
+        remote = ("10.1.2.3", 5555)
+        response = self.exchange(daemon, remote, {"op": "shutdown"})
+        assert response["ok"] is False
+        assert response["error"].startswith("shutdown refused")
+        assert not daemon._stop.is_set()
+        assert self.exchange(daemon, remote, {"op": "ping"}) == {"ok": True}
+
+    @pytest.mark.parametrize("peer", [("127.0.0.1", 5555),
+                                      ("::1", 5555, 0, 0), ""],
+                             ids=["ipv4", "ipv6", "unix"])
+    def test_shutdown_accepted_from_a_local_peer(self, tmp_path, peer):
+        daemon = TuningDaemon(SessionStore(tmp_path / "store", fsync=False),
+                              session_traces=False)
+        assert self.exchange(daemon, peer, {"op": "shutdown"}) == {"ok": True}
+        assert daemon._stop.is_set()
